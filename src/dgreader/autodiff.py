@@ -362,13 +362,17 @@ class Tape:
         is a contract violation.
         """
         mask = np.asarray(mask, dtype=np.float64)
-        bm = np.broadcast_to(mask, a.data.shape)
-        if not bm.any(axis=-1).all():
+        if not mask.any(axis=-1).all():
             raise ContractViolation("masked_softmax: a row has no unmasked positions")
-        shifted = a.data + (bm - 1.0) * MASK_OFFSET
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        y = np.exp(shifted) * bm
-        y = y / y.sum(axis=-1, keepdims=True)
+        y = a.data + (mask - 1.0) * MASK_OFFSET
+        if y.shape != a.data.shape:
+            raise DimensionError(
+                f"masked_softmax: mask {mask.shape} does not broadcast to {a.data.shape}"
+            )
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y *= mask
+        y /= y.sum(axis=-1, keepdims=True)
 
         def bwd(out):
             if a.needs_grad:
@@ -502,46 +506,6 @@ class BiGRUParams:
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def gru_cell(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
-    """One GRU step composed from primitive ops. Accepts (in,) / (h,) or
-    batched (B, in) / (B, h) operands."""
-    tape = x.tape
-    n = params.hidden
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = tape.reshape(x, (1, x.data.shape[0]))
-        h = tape.reshape(h, (1, h.data.shape[0]))
-    if x.data.shape[-1] != params.input_size:
-        raise DimensionError(
-            f"gru_cell input width {x.data.shape} does not match weights "
-            f"{params.w_in.data.shape}"
-        )
-    if h.data.shape[-1] != n:
-        raise DimensionError(
-            f"gru_cell state width {h.data.shape} does not match hidden size {n}"
-        )
-    w_in = tape.watch(params.w_in)
-    w_hid = tape.watch(params.w_hid)
-    bias = tape.watch(params.bias)
-    gx = tape.add(tape.matmul(x, w_in), bias)
-    zr = tape.sigmoid(
-        tape.add(tape.slice_last(gx, 0, 2 * n), tape.matmul(h, tape.slice_last(w_hid, 0, 2 * n)))
-    )
-    z = tape.slice_last(zr, 0, n)
-    r = tape.slice_last(zr, n, 2 * n)
-    cand = tape.tanh(
-        tape.add(
-            tape.slice_last(gx, 2 * n, 3 * n),
-            tape.matmul(tape.mul(r, h), tape.slice_last(w_hid, 2 * n, 3 * n)),
-        )
-    )
-    one = tape.constant(1.0)
-    out = tape.add(tape.mul(tape.sub(one, z), h), tape.mul(z, cand))
-    if squeeze:
-        out = tape.reshape(out, (n,))
-    return out
 
 
 def _reading_order(a: np.ndarray, d: int) -> np.ndarray:

@@ -7,6 +7,11 @@ and the padding row is zero. The character side runs a forward and a
 backward GRU over the token's characters, concatenates the two final
 states and applies a linear map; those parameters do train.
 
+A character feature depends only on the token's surface form, so a
+batch composes it once per distinct type (as in C2W, Ling et al. 2015):
+one character scan over the batch's type table, then each position
+takes its type's row.
+
 Pretrained vector text format: one token per line followed by its
 space-separated float components.
 """
@@ -106,13 +111,12 @@ class CharEmbedder:
     def embed_ids(self, tape: Tape, char_ids: np.ndarray, char_mask: np.ndarray) -> Tensor:
         """(N, L) character ids with a 0/1 length mask -> (N, char_out).
 
-        Both directional GRUs run as one stacked bigru scan (a single
-        tape node); the projection reads the forward state after the
-        last character and the backward state after the first.
-
-        Rows whose mask is entirely zero (padding tokens) come out as
-        the projection of the zero states; callers zero them with the
-        token mask.
+        Each row is one token's characters; a batch passes its table of
+        distinct types. Both directional GRUs run as one stacked bigru
+        scan (a single tape node); the projection reads the forward
+        state after the last character and the backward state after the
+        first. A row whose mask is entirely zero comes out as the
+        projection of the zero states.
         """
         char_ids = np.asarray(char_ids, dtype=np.int64)
         if char_ids.ndim != 2:
@@ -124,16 +128,15 @@ class CharEmbedder:
         return tape.add(tape.matmul(both, tape.watch(self.proj_w)), tape.watch(self.proj_b))
 
 
-def char_id_matrix(vocab: Vocabulary, tokens: list[str], width: int | None = None):
+def char_id_matrix(vocab: Vocabulary, tokens: list[str]):
     """Pack per-token character ids into a padded (N, width) matrix plus
-    its 0/1 mask. Padding tokens are passed as empty strings."""
-    if width is None:
-        width = max((len(t) for t in tokens), default=1)
-        width = max(width, 1)
+    its 0/1 mask, width being the longest token's length (at least 1).
+    Padding tokens are passed as empty strings."""
+    width = max([1] + [len(t) for t in tokens])
     ids = np.zeros((len(tokens), width), dtype=np.int64)
     mask = np.zeros((len(tokens), width))
     for i, tok in enumerate(tokens):
-        cs = vocab.char_ids(tok)[:width]
+        cs = vocab.char_ids(tok)
         ids[i, : len(cs)] = cs
         mask[i, : len(cs)] = 1.0
     return ids, mask
@@ -166,49 +169,24 @@ class TokenEmbedder:
     def parameters(self) -> list[Parameter]:
         return [self.word_table, *self.char.parameters()]
 
-    def char_embed_token(self, tape: Tape, token: str) -> Tensor:
-        """Character vector for a single non-empty token."""
-        if not token:
-            raise ContractViolation("cannot char-embed an empty token")
-        ids, mask = char_id_matrix(self.vocab, [token])
-        out = self.char.embed_ids(tape, ids, mask)
-        return tape.reshape(out, (self.cfg.char_out,))
+    def embed_batch(self, tape: Tape, batch) -> tuple[Tensor, Tensor]:
+        """Document and query embeddings, (B, n|m, token_dim), of a
+        model.Batch.
 
-    def embed_batch(
-        self,
-        tape: Tape,
-        word_ids: np.ndarray,
-        char_ids: np.ndarray,
-        char_mask: np.ndarray,
-        token_mask: np.ndarray,
-    ) -> Tensor:
-        """(B, T) word ids + (B, T, L) char ids -> (B, T, token_dim).
-
-        Padding positions (token_mask 0) map to the zero vector in both
+        The character embedder runs once over the batch's type table;
+        each position then gathers its type's row, and the word half its
+        word id's row. Padding positions (mask 0) are zero in both
         halves.
         """
-        batch, steps = word_ids.shape
-        words = tape.gather_rows(tape.watch(self.word_table), word_ids)
-        chars = self.char.embed_ids(
-            tape,
-            char_ids.reshape(batch * steps, -1),
-            np.asarray(char_mask, dtype=np.float64).reshape(batch * steps, -1),
-        )
-        chars = tape.reshape(chars, (batch, steps, self.cfg.char_out))
-        chars = tape.mul(chars, tape.constant(np.asarray(token_mask, dtype=np.float64)[:, :, None]))
-        return tape.concat_last([words, chars])
+        chars = self.char.embed_ids(tape, batch.char_ids, batch.char_mask)
+        words = tape.watch(self.word_table)
 
-    def embed_tokens(self, tape: Tape, ids, tokens: list[str]) -> Tensor:
-        """Single sequence (T,) ids + surface tokens -> (T, token_dim)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or len(tokens) != ids.shape[0]:
-            raise DimensionError(
-                f"ids shape {ids.shape} does not match {len(tokens)} tokens"
-            )
-        surfaces = ["" if i == PAD_ID else t for i, t in zip(ids, tokens)]
-        char_ids, char_mask = char_id_matrix(self.vocab, surfaces)
-        token_mask = (ids != PAD_ID).astype(float)
-        out = self.embed_batch(
-            tape, ids[None, :], char_ids[None, :, :], char_mask[None, :, :], token_mask[None, :]
+        def place(word_ids, types, mask):
+            typed = tape.gather_rows(chars, types)
+            typed = tape.mul(typed, tape.constant(mask[:, :, None]))
+            return tape.concat_last([tape.gather_rows(words, word_ids), typed])
+
+        return (
+            place(batch.doc_ids, batch.doc_types, batch.doc_mask),
+            place(batch.qry_ids, batch.qry_types, batch.qry_mask),
         )
-        return tape.reshape(out, (ids.shape[0], self.cfg.token_dim))

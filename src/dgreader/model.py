@@ -1,13 +1,15 @@
 """The trainable reader: embeddings + encoding pass + ranking, batched.
 
-A Batch packs padded id tensors and masks for a group of samples; the
-forward pass builds one tape covering embedding, the full encoding
-pass, the token distribution and the candidate distribution, plus the
-mean negative log likelihood when every sample in the batch is
-labeled. Padding never leaks: masked scans freeze states across padded
-steps and both softmaxes mask padded positions to exact zeros, so a
-sample's encodings and distributions are identical however much
-padding its batch forces.
+A Batch packs padded id tensors and masks for a group of samples, plus
+one table of the distinct surface forms across all its documents and
+queries, so that the character embedder runs once per type, not once
+per position. The forward pass builds one tape covering embedding, the
+full encoding pass, the token distribution and the candidate
+distribution, plus the mean negative log likelihood when every sample
+in the batch is labeled. Padding never leaks: masked scans freeze
+states across padded steps and both softmaxes mask padded positions to
+exact zeros, so a sample's encodings and distributions are identical
+however much padding its batch forces.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from .reader import AttentionTrace, ReaderConfig, ReaderParams, encode_full, qe_
 class Batch:
     doc_ids: np.ndarray  # (B, n) int64
     doc_mask: np.ndarray  # (B, n) 0/1
-    doc_char_ids: np.ndarray  # (B, n, Lc)
-    doc_char_mask: np.ndarray
+    doc_types: np.ndarray  # (B, n) int64 row of each position's type in char_ids
     qry_ids: np.ndarray  # (B, m)
     qry_mask: np.ndarray
-    qry_char_ids: np.ndarray
-    qry_char_mask: np.ndarray
+    qry_types: np.ndarray  # (B, m)
+    char_ids: np.ndarray  # (U, Lc) characters of the batch's U distinct types
+    char_mask: np.ndarray  # (U, Lc) 0/1
     ph_idx: np.ndarray  # (B,) placeholder position per sample
     occurrence: np.ndarray  # (B, g_max, n) 0/1 candidate occurrence rows
     answer_idx: np.ndarray  # (B,) row into the candidate list, -1 if unlabeled
@@ -51,24 +53,27 @@ class Batch:
 
 
 def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
-    """Pad a group of samples into one Batch."""
+    """Pad a group of samples into one Batch.
+
+    Type rows are numbered in order of first appearance (each sample's
+    document, then its query), so a batch's layout depends only on its
+    samples. Padding positions point at row 0; the embedder zeroes them
+    with the token mask.
+    """
     if not samples:
         raise ContractViolation("cannot assemble an empty batch")
     n = max(len(s.document) for s in samples)
     m = max(len(s.query) for s in samples)
     g = max(len(s.candidates) for s in samples)
-    lc_doc = max(max(len(t) for t in s.document) for s in samples)
-    lc_qry = max(max(len(t) for t in s.query) for s in samples)
     batch = len(samples)
 
     doc_ids = np.zeros((batch, n), dtype=np.int64)
     doc_mask = np.zeros((batch, n))
     qry_ids = np.zeros((batch, m), dtype=np.int64)
     qry_mask = np.zeros((batch, m))
-    doc_char_ids = np.zeros((batch, n, lc_doc), dtype=np.int64)
-    doc_char_mask = np.zeros((batch, n, lc_doc))
-    qry_char_ids = np.zeros((batch, m, lc_qry), dtype=np.int64)
-    qry_char_mask = np.zeros((batch, m, lc_qry))
+    doc_types = np.zeros((batch, n), dtype=np.int64)
+    qry_types = np.zeros((batch, m), dtype=np.int64)
+    types: dict[str, int] = {}
     ph_idx = np.zeros(batch, dtype=np.int64)
     occurrence = np.zeros((batch, g, n))
     answer_idx = np.full(batch, -1, dtype=np.int64)
@@ -80,19 +85,17 @@ def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
         doc_mask[b, :dn] = 1.0
         qry_ids[b, :qm] = [vocab.word_id(t) for t in s.query]
         qry_mask[b, :qm] = 1.0
-        cd, md = char_id_matrix(vocab, s.document, lc_doc)
-        doc_char_ids[b, :dn], doc_char_mask[b, :dn] = cd, md
-        cq, mq = char_id_matrix(vocab, s.query, lc_qry)
-        qry_char_ids[b, :qm], qry_char_mask[b, :qm] = cq, mq
+        doc_types[b, :dn] = [types.setdefault(t, len(types)) for t in s.document]
+        qry_types[b, :qm] = [types.setdefault(t, len(types)) for t in s.query]
         ph_idx[b] = s.placeholder_index
         occ = find_occurrences(s.document, s.candidates)
         occurrence[b, : len(s.candidates), :dn] = occ.matrix(dn, s.candidates)
         if s.answer is not None:
             answer_idx[b] = s.candidates.index(s.answer)
         qe[b, :dn] = qe_comm_features(s.document, s.query)
+    char_ids, char_mask = char_id_matrix(vocab, list(types))
     return Batch(
-        doc_ids, doc_mask, doc_char_ids, doc_char_mask,
-        qry_ids, qry_mask, qry_char_ids, qry_char_mask,
+        doc_ids, doc_mask, doc_types, qry_ids, qry_mask, qry_types, char_ids, char_mask,
         ph_idx, occurrence, answer_idx, qe, list(samples),
     )
 
@@ -143,12 +146,7 @@ class Model:
     ) -> ForwardResult:
         tape = Tape()
         drop = (dropout, rng, train)
-        doc = self.embedder.embed_batch(
-            tape, batch.doc_ids, batch.doc_char_ids, batch.doc_char_mask, batch.doc_mask
-        )
-        qry = self.embedder.embed_batch(
-            tape, batch.qry_ids, batch.qry_char_ids, batch.qry_char_mask, batch.qry_mask
-        )
+        doc, qry = self.embedder.embed_batch(tape, batch)
         doc = tape.dropout(doc, dropout, rng, train)
         qry = tape.dropout(qry, dropout, rng, train)
 

@@ -1,0 +1,121 @@
+"""Step-wise and per-position oracles for the engine and the embedder.
+
+`gru_cell` is one GRU step composed from primitive tape ops; chains of
+it check the fused scans. The embedding helpers compose characters once
+per token position, padding included. They are the reference for the
+package's once-per-type composition, and they check the character
+embedder against the cell chain.
+"""
+
+import numpy as np
+
+from dgreader.autodiff import GRUParams, Tape, Tensor
+from dgreader.corpus import PAD_ID
+from dgreader.embed import TokenEmbedder, char_id_matrix
+from dgreader.errors import ContractViolation, DimensionError
+
+
+def gru_cell(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
+    """One GRU step composed from primitive ops. Accepts (in,) / (h,) or
+    batched (B, in) / (B, h) operands."""
+    tape = x.tape
+    n = params.hidden
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = tape.reshape(x, (1, x.data.shape[0]))
+        h = tape.reshape(h, (1, h.data.shape[0]))
+    if x.data.shape[-1] != params.input_size:
+        raise DimensionError(
+            f"gru_cell input width {x.data.shape} does not match weights "
+            f"{params.w_in.data.shape}"
+        )
+    if h.data.shape[-1] != n:
+        raise DimensionError(
+            f"gru_cell state width {h.data.shape} does not match hidden size {n}"
+        )
+    w_in = tape.watch(params.w_in)
+    w_hid = tape.watch(params.w_hid)
+    bias = tape.watch(params.bias)
+    gx = tape.add(tape.matmul(x, w_in), bias)
+    zr = tape.sigmoid(
+        tape.add(tape.slice_last(gx, 0, 2 * n), tape.matmul(h, tape.slice_last(w_hid, 0, 2 * n)))
+    )
+    z = tape.slice_last(zr, 0, n)
+    r = tape.slice_last(zr, n, 2 * n)
+    cand = tape.tanh(
+        tape.add(
+            tape.slice_last(gx, 2 * n, 3 * n),
+            tape.matmul(tape.mul(r, h), tape.slice_last(w_hid, 2 * n, 3 * n)),
+        )
+    )
+    one = tape.constant(1.0)
+    out = tape.add(tape.mul(tape.sub(one, z), h), tape.mul(z, cand))
+    if squeeze:
+        out = tape.reshape(out, (n,))
+    return out
+
+
+def embed_positions(
+    emb: TokenEmbedder,
+    tape: Tape,
+    word_ids: np.ndarray,
+    char_ids: np.ndarray,
+    char_mask: np.ndarray,
+    token_mask: np.ndarray,
+) -> Tensor:
+    """(B, T) word ids + (B, T, L) char ids -> (B, T, token_dim), with
+    one character row per position. Padding positions (token_mask 0)
+    map to the zero vector in both halves."""
+    batch, steps = word_ids.shape
+    words = tape.gather_rows(tape.watch(emb.word_table), word_ids)
+    chars = emb.char.embed_ids(
+        tape,
+        char_ids.reshape(batch * steps, -1),
+        np.asarray(char_mask, dtype=np.float64).reshape(batch * steps, -1),
+    )
+    chars = tape.reshape(chars, (batch, steps, emb.cfg.char_out))
+    chars = tape.mul(chars, tape.constant(np.asarray(token_mask, dtype=np.float64)[:, :, None]))
+    return tape.concat_last([words, chars])
+
+
+def embed_sides(emb: TokenEmbedder, tape: Tape, batch) -> tuple[Tensor, Tensor]:
+    """Per-position embeddings of a model.Batch's documents and queries,
+    rebuilt from the samples' surface tokens."""
+    out = []
+    for word_ids, token_mask, seqs in (
+        (batch.doc_ids, batch.doc_mask, [s.document for s in batch.samples]),
+        (batch.qry_ids, batch.qry_mask, [s.query for s in batch.samples]),
+    ):
+        # one width per side, as when each side had its own scan
+        width = max(len(t) for seq in seqs for t in seq)
+        char_ids = np.zeros(word_ids.shape + (width,), dtype=np.int64)
+        char_mask = np.zeros(word_ids.shape + (width,))
+        for b, seq in enumerate(seqs):
+            ids, mask = char_id_matrix(emb.vocab, seq)
+            char_ids[b, : len(seq), : ids.shape[1]] = ids
+            char_mask[b, : len(seq), : ids.shape[1]] = mask
+        out.append(embed_positions(emb, tape, word_ids, char_ids, char_mask, token_mask))
+    return out[0], out[1]
+
+
+def embed_tokens(emb: TokenEmbedder, tape: Tape, ids, tokens: list[str]) -> Tensor:
+    """Single sequence (T,) ids + surface tokens -> (T, token_dim)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1 or len(tokens) != ids.shape[0]:
+        raise DimensionError(f"ids shape {ids.shape} does not match {len(tokens)} tokens")
+    surfaces = ["" if i == PAD_ID else t for i, t in zip(ids, tokens)]
+    char_ids, char_mask = char_id_matrix(emb.vocab, surfaces)
+    token_mask = (ids != PAD_ID).astype(float)
+    out = embed_positions(
+        emb, tape, ids[None, :], char_ids[None, :, :], char_mask[None, :, :], token_mask[None, :]
+    )
+    return tape.reshape(out, (ids.shape[0], emb.cfg.token_dim))
+
+
+def char_embed_token(emb: TokenEmbedder, tape: Tape, token: str) -> Tensor:
+    """Character vector for a single non-empty token."""
+    if not token:
+        raise ContractViolation("cannot char-embed an empty token")
+    ids, mask = char_id_matrix(emb.vocab, [token])
+    out = emb.char.embed_ids(tape, ids, mask)
+    return tape.reshape(out, (emb.cfg.char_out,))

@@ -14,7 +14,6 @@ from dgreader.autodiff import (
     Tape,
     backward,
     bigru,
-    gru_cell,
     gru_scan,
     load_checkpoint,
     restore_parameters,
@@ -22,6 +21,7 @@ from dgreader.autodiff import (
 )
 from dgreader.errors import ContractViolation, DimensionError, ParseError
 from dgreader.gradcheck import check_gradients, numeric_gradient
+from oracles import gru_cell
 
 
 def scalar_gru_step(x, h, w_in, w_hid, b):
@@ -109,6 +109,29 @@ class TestMaskedSoftmax:
         mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ContractViolation):
             tape.masked_softmax(logits, mask)
+
+    def test_broadcast_mask_with_all_masked_row_rejected(self):
+        tape = Tape()
+        logits = tape.constant(np.zeros((2, 4, 3)))
+        mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])[:, None, :]
+        with pytest.raises(ContractViolation):
+            tape.masked_softmax(logits, mask)
+
+    def test_broadcast_mask_equals_full_mask_bitwise(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(0, 5, (3, 4, 6))
+        mask = (rng.random((3, 1, 6)) > 0.4).astype(float)
+        mask[:, :, 0] = 1.0
+        tape = Tape()
+        narrow = tape.masked_softmax(tape.constant(x), mask)
+        full = tape.masked_softmax(tape.constant(x), np.broadcast_to(mask, x.shape).copy())
+        assert narrow.data.shape == x.shape
+        assert narrow.data.tobytes() == full.data.tobytes()
+
+    def test_mask_wider_than_input_rejected(self):
+        tape = Tape()
+        with pytest.raises(DimensionError, match="does not broadcast"):
+            tape.masked_softmax(tape.constant(np.zeros((2, 1, 3))), np.ones((2, 4, 3)))
 
     def test_matches_plain_softmax_when_unmasked(self):
         rng = np.random.default_rng(4)

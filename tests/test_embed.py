@@ -4,7 +4,7 @@ character composition against an unrolled single-step chain."""
 import numpy as np
 import pytest
 
-from dgreader.autodiff import Tape, backward, gru_cell
+from dgreader.autodiff import Tape, backward
 from dgreader.corpus import PAD_ID, ClozeSample, DatasetSplit, build_vocab
 from dgreader.embed import (
     EmbedConfig,
@@ -14,6 +14,7 @@ from dgreader.embed import (
     random_word_table,
 )
 from dgreader.errors import ContractViolation, DimensionError, ParseError
+from oracles import char_embed_token, embed_tokens, gru_cell
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestCharEmbedder:
         emb = TokenEmbedder(rng, vocab, cfg)
         token = "fgh"
         tape = Tape()
-        got = emb.char_embed_token(tape, token)
+        got = char_embed_token(emb, tape, token)
 
         chain = Tape()
         ids = vocab.char_ids(token)
@@ -97,12 +98,12 @@ class TestCharEmbedder:
     def test_empty_token_rejected(self, vocab, cfg):
         emb = TokenEmbedder(np.random.default_rng(1), vocab, cfg)
         with pytest.raises(ContractViolation):
-            emb.char_embed_token(Tape(), "")
+            char_embed_token(emb, Tape(), "")
 
     def test_char_parameters_receive_gradient(self, vocab, cfg):
         emb = TokenEmbedder(np.random.default_rng(2), vocab, cfg)
         tape = Tape()
-        vec = emb.char_embed_token(tape, "abc")
+        vec = char_embed_token(emb, tape, "abc")
         grads = backward(tape, tape.sum_all(tape.mul(vec, vec)))
         assert np.abs(grads["embed.char.table"]).max() > 0.0
         assert np.abs(grads["embed.char.proj_w"]).max() > 0.0
@@ -114,7 +115,7 @@ class TestTokenEmbedder:
         tokens = ["abc", "de", "<pad>", "<pad>"]
         ids = [vocab.word_id("abc"), vocab.word_id("de"), PAD_ID, PAD_ID]
         tape = Tape()
-        out = emb.embed_tokens(tape, ids, tokens)
+        out = embed_tokens(emb, tape, ids, tokens)
         assert out.data.shape == (4, cfg.token_dim)
         np.testing.assert_array_equal(out.data[2:], 0.0)
         assert np.abs(out.data[:2]).max() > 0.0
@@ -124,13 +125,13 @@ class TestTokenEmbedder:
         table = random_word_table(vocab, cfg.word_dim, rng)
         emb = TokenEmbedder(rng, vocab, cfg, word_table=table)
         tape = Tape()
-        out = emb.embed_tokens(tape, [vocab.word_id("abc")], ["abc"])
+        out = embed_tokens(emb, tape, [vocab.word_id("abc")], ["abc"])
         np.testing.assert_array_equal(out.data[0, : cfg.word_dim], table.data[vocab.word_id("abc")])
 
     def test_word_table_never_gets_gradient(self, vocab, cfg):
         emb = TokenEmbedder(np.random.default_rng(5), vocab, cfg)
         tape = Tape()
-        out = emb.embed_tokens(tape, [vocab.word_id("abc"), vocab.word_id("de")], ["abc", "de"])
+        out = embed_tokens(emb, tape, [vocab.word_id("abc"), vocab.word_id("de")], ["abc", "de"])
         grads = backward(tape, tape.sum_all(tape.mul(out, out)))
         np.testing.assert_array_equal(grads["embed.word"], 0.0)
 
@@ -144,7 +145,7 @@ class TestTokenEmbedder:
     def test_length_mismatch_rejected(self, vocab, cfg):
         emb = TokenEmbedder(np.random.default_rng(6), vocab, cfg)
         with pytest.raises(DimensionError):
-            emb.embed_tokens(Tape(), [1, 2, 3], ["abc"])
+            embed_tokens(emb, Tape(), [1, 2, 3], ["abc"])
 
 
 class TestCharIdMatrix:

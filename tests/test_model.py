@@ -1,20 +1,23 @@
-"""End-to-end model tests: batch assembly, the batched probability path
-against the per-sample ranker path, the loss formula, gradient integrity
-on a small configuration, and invariance to batch composition."""
+"""End-to-end model tests: batch assembly and its type table, the
+batched probability path against the per-sample ranker path, the type
+table against per-position character composition, the loss formula,
+gradient integrity on a small configuration, and invariance to batch
+composition."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dgreader.autodiff import backward
-from dgreader.corpus import DatasetSplit, SynthConfig, build_vocab, generate_synthetic
-from dgreader.embed import EmbedConfig
+from dgreader.autodiff import Tape, backward
+from dgreader.corpus import ClozeSample, DatasetSplit, SynthConfig, build_vocab, generate_synthetic
+from dgreader.embed import EmbedConfig, char_id_matrix
 from dgreader.errors import ConfigError, ContractViolation
 from dgreader.gradcheck import check_gradients
 from dgreader.model import Batch, Model, assemble_batch
 from dgreader.ranker import rank
-from dgreader.reader import ReaderConfig
+from dgreader.reader import ABLATION_PRESETS, ReaderConfig
+from oracles import embed_sides
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +195,93 @@ class TestModelGradients:
         out = model.forward_batch(assemble_batch([], vocab)) if False else None
         trainable = {p.id for p in model.parameters() if p.trainable}
         assert model.embedder.word_table.id not in trainable
+
+
+@pytest.fixture(scope="module")
+def repeat_world():
+    # "de" and "abc" repeat within and across documents and queries; the
+    # second document and the first query are padded.
+    samples = [
+        ClozeSample(["abc", "de", "fgh", "abc", "de"], ["fgh", "@placeholder"],
+                    ["abc", "de"], "abc", 1).validate(),
+        ClozeSample(["de", "ij", "abc"], ["@placeholder", "ij", "de"],
+                    ["de", "abc"], "de", 0).validate(),
+    ]
+    vocab = build_vocab([DatasetSplit("train", samples)])
+    return samples, vocab, assemble_batch(samples, vocab)
+
+
+class TestTypeTable:
+    def test_one_row_per_distinct_surface_form(self, repeat_world):
+        samples, _, batch = repeat_world
+        forms = {t for s in samples for t in s.document + s.query}
+        assert batch.char_ids.shape[0] == len(forms) == 5
+        assert batch.char_mask.shape == batch.char_ids.shape
+        rows = {tuple(r) for r in batch.char_ids}
+        assert len(rows) == len(forms)
+
+    def test_rows_reproduce_each_tokens_characters(self, repeat_world):
+        samples, vocab, batch = repeat_world
+        for b, s in enumerate(samples):
+            for types, tokens in ((batch.doc_types, s.document), (batch.qry_types, s.query)):
+                ids, mask = char_id_matrix(vocab, tokens)
+                rows, width = types[b, : len(tokens)], ids.shape[1]
+                np.testing.assert_array_equal(batch.char_ids[rows, :width], ids)
+                np.testing.assert_array_equal(batch.char_mask[rows, :width], mask)
+                assert (batch.char_mask[rows, width:] == 0.0).all()
+
+    def test_embeddings_match_per_position_oracle(self, repeat_world):
+        _, vocab, batch = repeat_world
+        model = small_model(vocab)
+        tape = Tape()
+        doc, qry = model.embedder.embed_batch(tape, batch)
+        ref_doc, ref_qry = embed_sides(model.embedder, Tape(), batch)
+        for got, ref, mask in ((doc, ref_doc, batch.doc_mask), (qry, ref_qry, batch.qry_mask)):
+            np.testing.assert_allclose(got.data, ref.data, rtol=0.0, atol=1e-12)
+            assert (got.data[mask == 0.0] == 0.0).all()
+            assert np.abs(got.data[mask == 1.0]).max() > 0.0
+
+    def test_char_gradients_match_finite_differences(self, repeat_world):
+        _, vocab, batch = repeat_world
+        # "de" is read by both sides, so its table row gathers gradient
+        # from the document and the query
+        shared = set(batch.doc_types[batch.doc_mask == 1.0]) & set(batch.qry_types[batch.qry_mask == 1.0])
+        assert len(shared) >= 2
+        model = small_model(vocab, hidden=4)
+
+        def loss_fn():
+            return model.forward_batch(batch).loss.data.item()
+
+        out = model.forward_batch(batch)
+        grads = backward(out.tape, out.loss)
+        params = [p for p in model.parameters() if p.id.startswith("embed.char.")]
+        assert len(params) == 9
+        report = check_gradients(loss_fn, params, grads)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_forward_and_gradients_match_per_position_path(self, preset):
+        # criterion 1's batch and model
+        samples = generate_synthetic(SynthConfig(samples=2, vocab_size=16, doc_len=(7, 12),
+                                                 qry_len=(4, 6), candidates=3, seed=11))
+        vocab = build_vocab([DatasetSplit("train", samples)])
+        batch = assemble_batch(samples, vocab)
+
+        def run(oracle):
+            model = Model(
+                vocab,
+                EmbedConfig(word_dim=3, char_dim=3, char_hidden=4, char_out=6),
+                ReaderConfig.from_preset(preset, hops=2, hidden=8, qe_comm=True),
+                np.random.default_rng(101),
+            )
+            if oracle:
+                model.embedder.embed_batch = lambda tape, b: embed_sides(model.embedder, tape, b)
+            out = model.forward_batch(batch)
+            return out, backward(out.tape, out.loss)
+
+        (got, got_grads), (ref, ref_grads) = run(False), run(True)
+        assert abs(got.loss.data.item() - ref.loss.data.item()) <= 1e-12
+        np.testing.assert_allclose(got.cand_probs.data, ref.cand_probs.data, rtol=0.0, atol=1e-12)
+        assert got_grads.keys() == ref_grads.keys()
+        for pid in got_grads:
+            np.testing.assert_allclose(got_grads[pid], ref_grads[pid], rtol=0.0, atol=1e-12)
