@@ -23,12 +23,21 @@ batched over directions, and a single reverse sweep serve both; the
 backward direction reads the flipped input under the flipped mask. The
 whole scan is one tape node: a bigru over (B, T, in) records one node
 with output (B, T, 2*hidden), plus one small node per final state.
+
+Ownership: a Tape holds its nodes strongly, and each Tensor refers to
+its tape only weakly, so the graph has no reference cycle. Whoever
+holds the Tape (or a ForwardResult, which holds its tape) keeps the
+whole graph alive; once the last holder lets go, reference counting
+frees the tape and every activation its nodes saved, without waiting
+for the cyclic collector. A tensor that outlives its tape can still be
+read (.data), but using its tape raises ContractViolation.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,17 +80,29 @@ class Tensor:
     """A node in the computation graph: dense float64 values plus, for op
     outputs, the references backward needs."""
 
-    __slots__ = ("data", "grad", "tape", "op", "parents", "bwd", "needs_grad", "param")
+    __slots__ = ("data", "grad", "_tape", "op", "parents", "bwd", "needs_grad", "param")
 
-    def __init__(self, data: np.ndarray, tape: "Tape | None" = None):
+    def __init__(self, data: np.ndarray, tape: "Tape"):
         self.data = data
         self.grad: np.ndarray | None = None
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.op: str | None = None
         self.parents: tuple[Tensor, ...] = ()
         self.bwd: Callable[[Tensor], None] | None = None
         self.needs_grad = False
         self.param: Parameter | None = None
+
+    @property
+    def tape(self) -> "Tape":
+        """The tape that recorded this tensor, while something still
+        holds it (see the module docstring)."""
+        tape = self._tape()
+        if tape is None:
+            raise ContractViolation(
+                f"tensor from op {self.op or 'leaf'!r} with shape {self.data.shape} "
+                "outlived its tape; keep the Tape or ForwardResult while using it"
+            )
+        return tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -155,7 +176,7 @@ class Tape:
 
     def constant(self, value) -> Tensor:
         data = np.asarray(value, dtype=np.float64)
-        return Tensor(data, tape=self)
+        return Tensor(data, self)
 
     def as_tensor(self, value) -> Tensor:
         return value if isinstance(value, Tensor) else self.constant(value)
@@ -169,14 +190,14 @@ class Tape:
         cached = self.watched.get(id(param))
         if cached is not None:
             return cached[1]
-        leaf = Tensor(param.data, tape=self)
+        leaf = Tensor(param.data, self)
         leaf.needs_grad = param.trainable
         leaf.param = param
         self.watched[id(param)] = (param, leaf)
         return leaf
 
     def _node(self, data, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
-        t = Tensor(data, tape=self)
+        t = Tensor(data, self)
         t.op = op
         t.parents = parents
         t.bwd = bwd
@@ -422,6 +443,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     Fills Parameter.grad for every watched parameter: d loss / d param
     for trainable ones, zeros for frozen ones and for parameters the
     loss does not depend on. Returns {parameter id: gradient}.
+
+    Intermediate gradients are released during the sweep: once a node's
+    backward has run, nothing reads its .grad again, so it is set to
+    None. Afterwards only the loss and the watched leaves hold a .grad.
     """
     if loss.tape is not tape:
         raise ContractViolation("loss tensor does not belong to the given tape")
@@ -435,6 +460,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     for node in reversed(tape.nodes):
         if node.bwd is not None and node.grad is not None and node.needs_grad:
             node.bwd(node)
+            if node is not loss:
+                node.grad = None
     grads: dict[str, np.ndarray] = {}
     for param, leaf in tape.watched.values():
         if param.trainable and leaf.grad is not None:

@@ -385,6 +385,7 @@ def cmd_gradcheck(args) -> int:
 
     result = model.forward_batch(batch)
     grads = backward(result.tape, result.loss)
+    del result  # only the gradients are needed through the finite differences
     report = check_gradients(loss_fn, model.parameters(), grads)
     print(report.summary())
     if not report.passed:

@@ -102,6 +102,11 @@ def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
 
 @dataclass
 class ForwardResult:
+    """One forward's outputs. The result holds its tape, and tensors
+    refer to their tape only weakly, so the graph and every activation
+    saved for backward live exactly as long as the result (or the tape)
+    is held."""
+
     tape: Tape
     loss: Tensor | None
     token_probs: Tensor  # (B, n)

@@ -150,8 +150,9 @@ def evaluate(model: Model, samples: list[ClozeSample], batch_size: int = 32) -> 
     gold_probs = []
     for chunk in make_batches(samples, batch_size):
         batch = assemble_batch(chunk, model.vocab)
-        result = model.forward_batch(batch)
-        for dist, sample in zip(model.predict_batch(result, batch), chunk):
+        # the forward result (and its tape) dies once predict_batch returns
+        dists = model.predict_batch(model.forward_batch(batch), batch)
+        for dist, sample in zip(dists, chunk):
             if sample.answer is None:
                 raise ContractViolation("evaluate needs gold answers on every sample")
             correct += dist.predicted == sample.answer
@@ -236,6 +237,8 @@ def train(
                         f"batch {index}; parameter norms: {norms}"
                     )
                 grads = backward(out.tape, out.loss)
+                # free this step's tape before the next step's forward
+                del out
                 if hp.grad_clip is not None:
                     clip_global_norm(grads, hp.grad_clip)
                 adam_step(params, grads, state, hp)

@@ -1,8 +1,9 @@
 """Engine tests: primitive forwards, backward correctness against central
 finite differences, GRU primitives against a plain-Python scalar oracle,
-and checkpoint round-trips."""
+tape lifetime, and checkpoint round-trips."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from dgreader.autodiff import (
     restore_parameters,
     save_checkpoint,
 )
+from dgreader.corpus import DatasetSplit, SynthConfig, build_vocab, generate_synthetic
+from dgreader.embed import EmbedConfig
 from dgreader.errors import ContractViolation, DimensionError, ParseError
 from dgreader.gradcheck import check_gradients, numeric_gradient
+from dgreader.model import Model, assemble_batch
+from dgreader.reader import ReaderConfig
 from oracles import gru_cell
 
 
@@ -537,3 +542,50 @@ class TestNumericGradientHelper:
         grad = numeric_gradient(loss, p)
         np.testing.assert_allclose(grad, [3.0, -4.0], atol=1e-9)
         np.testing.assert_array_equal(p.data, [1.5, -2.0])
+
+
+class TestTapeLifetime:
+    """With the cyclic collector off, a tape must die by reference
+    counting alone as soon as nothing holds it."""
+
+    @pytest.fixture(scope="class")
+    def model_and_batch(self):
+        samples = generate_synthetic(SynthConfig(samples=3, vocab_size=16, doc_len=(7, 10),
+                                                 qry_len=(4, 5), candidates=3, seed=8))
+        vocab = build_vocab([DatasetSplit("train", samples)])
+        model = Model(vocab, EmbedConfig(word_dim=4, char_dim=3, char_hidden=4, char_out=4),
+                      ReaderConfig(hops=2, hidden=6).validate(), np.random.default_rng(3))
+        return model, assemble_batch(samples, vocab)
+
+    def test_forward_batch_tape_dies_with_its_result(self, model_and_batch, live_tapes):
+        model, batch = model_and_batch
+        result = model.forward_batch(batch)
+        tape = weakref.ref(result.tape)
+        probs = result.token_probs
+        del result
+        assert tape() is None
+        assert live_tapes() == []
+        # values stay readable without the graph
+        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0)
+
+    def test_backward_releases_intermediate_gradients(self, model_and_batch, live_tapes):
+        model, batch = model_and_batch
+        result = model.forward_batch(batch)
+        tape, loss = result.tape, result.loss
+        grads = backward(tape, loss)
+        assert len(tape.nodes) > 50
+        assert [n.op for n in tape.nodes if n is not loss and n.grad is not None] == []
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        for param, leaf in tape.watched.values():
+            assert param.grad is grads[param.id]
+            if param.trainable:
+                np.testing.assert_array_equal(leaf.grad, param.grad)
+
+    def test_orphaned_tensor_raises_located_error(self, model_and_batch, live_tapes):
+        model, batch = model_and_batch
+        loss = model.forward_batch(batch).loss
+        with pytest.raises(ContractViolation, match=r"op 'neg' with shape \(\) outlived its tape"):
+            backward(loss.tape, loss)
+        with pytest.raises(ContractViolation, match="outlived its tape"):
+            loss * 2.0
+        assert np.isfinite(loss.data)

@@ -211,6 +211,18 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--seed", "7"]) == 0
         assert "max rel error" in capsys.readouterr().out
 
+    def test_finite_differences_hold_no_tape(self, monkeypatch, live_tapes):
+        alive = []
+
+        def fake_check(loss_fn, params, grads, **kw):
+            loss_fn()
+            alive.append(len(live_tapes()))
+            return GradCheckReport(max_rel_error=0.0, worst_param="w", tolerance=1e-4)
+
+        monkeypatch.setattr(cli, "check_gradients", fake_check)
+        assert cli.main(["gradcheck"]) == 0
+        assert alive == [0]
+
     def test_failure_maps_to_exit_three(self, monkeypatch, capsys):
         def fake_check(loss_fn, params, grads, **kw):
             return GradCheckReport(

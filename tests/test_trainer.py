@@ -3,6 +3,7 @@ loss/accuracy evaluation against per-sample loops, and the training loop
 contracts (logging, early stop, checkpointing, failure diagnostics)."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -272,6 +273,26 @@ class TestTrain:
         hp = HyperParams(lr=0.01, batch_size=8, epochs=2)
         with pytest.raises(NumericalError, match="epoch 1.*norms"):
             train(model, samples, samples, hp)
+
+    def test_each_step_frees_its_tape(self, live_tapes):
+        samples, vocab = make_world()
+        model = make_model(vocab)
+        forward = model.forward_batch
+        tapes = []
+        alive_at_forward = []
+
+        def recording_forward(*args, **kwargs):
+            alive_at_forward.append(sum(t() is not None for t in tapes))
+            result = forward(*args, **kwargs)
+            tapes.append(weakref.ref(result.tape))
+            return result
+
+        model.forward_batch = recording_forward
+        train(model, samples[:8], samples[8:], HyperParams(batch_size=4, epochs=2))
+        assert len(tapes) == 2 * (2 + 2)  # per epoch: two steps, two dev batches
+        # neither a training step nor a dev batch overlaps an earlier tape
+        assert alive_at_forward == [0] * len(tapes)
+        assert live_tapes() == []
 
     def test_empty_splits_rejected(self):
         samples, vocab = make_world()
