@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import ClozeSample
 from .errors import ConfigError, ContractViolation
-from .ranker import CandidateOccurrences, find_occurrences
+from .ranker import find_occurrences
 from .reader import AttentionTrace
 
 LENGTH_AXES = ("document", "query")
@@ -103,7 +103,6 @@ def _minmax(matrix: np.ndarray) -> np.ndarray:
 def export_attention(
     trace: AttentionTrace,
     sample: ClozeSample,
-    occurrences: CandidateOccurrences | None = None,
 ) -> AttentionExport:
     """Aggregate each hop's energy rows over candidate occurrences and
     min-max normalize per hop. The last hop also contributes the
@@ -113,8 +112,7 @@ def export_attention(
     """
     if not trace.energies:
         raise ContractViolation("trace carries no attention rounds")
-    if occurrences is None:
-        occurrences = find_occurrences(sample.document, sample.candidates)
+    occurrences = find_occurrences(sample.document, sample.candidates)
     layers = []
     for energies in trace.energies:
         e = energies[0] if energies.ndim == 3 else energies

@@ -17,8 +17,8 @@ Gate convention for the GRU primitives, fixed throughout the package:
 Fused parameter layout: w_in is (input, 3*hidden) with column blocks
 [z | r | c], w_hid is (hidden, 3*hidden) likewise, bias is (3*hidden,).
 
-gru_scan and bigru share one scan core. It stacks its one or two
-directions as (D, B, ·), so a single time loop, whose recurrence is
+bigru, the one recurrent primitive, runs its two directions stacked as
+(D, B, ·) in one scan core, so a single time loop, whose recurrence is
 batched over directions, and a single reverse sweep serve both; the
 backward direction reads the flipped input under the flipped mask. The
 whole scan is one tape node: a bigru over (B, T, in) records one node
@@ -552,9 +552,8 @@ def _gru_directions(
     h0s: Sequence[Tensor | None],
     dirs: Sequence[GRUParams],
     mask: np.ndarray | None,
-    op: str,
 ) -> Tensor:
-    """Run D = len(dirs) GRU directions (one or two) over axis 1 of
+    """Run D = len(dirs) GRU directions over axis 1 of
     x (B, T, in) as a single fused tape node with output (B, T, D*hidden).
 
     Direction 0 reads x forward; direction 1 reads it backward: step t
@@ -571,25 +570,25 @@ def _gru_directions(
     """
     tape = x.tape
     if x.ndim != 3:
-        raise DimensionError(f"{op} expects (B, T, in), got {x.data.shape}")
+        raise DimensionError(f"bigru expects (B, T, in), got {x.data.shape}")
     batch, steps, width = x.data.shape
     if steps < 1:
-        raise ContractViolation(f"{op} requires at least one step")
+        raise ContractViolation("bigru requires at least one step")
     n = dirs[0].hidden
     for p in dirs:
         if width != p.input_size:
             raise DimensionError(
-                f"{op} input width {x.data.shape} does not match weights {p.w_in.data.shape}"
+                f"bigru input width {x.data.shape} does not match weights {p.w_in.data.shape}"
             )
         if p.hidden != n:
-            raise DimensionError(f"{op} directions disagree on hidden size: {p.hidden} vs {n}")
+            raise DimensionError(f"bigru directions disagree on hidden size: {p.hidden} vs {n}")
     for h0 in h0s:
         if h0 is not None and h0.data.shape != (batch, n):
-            raise DimensionError(f"{op} h0 shape {h0.data.shape}, expected {(batch, n)}")
+            raise DimensionError(f"bigru h0 shape {h0.data.shape}, expected {(batch, n)}")
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (batch, steps):
-            raise DimensionError(f"{op} mask shape {mask.shape}, expected {(batch, steps)}")
+            raise DimensionError(f"bigru mask shape {mask.shape}, expected {(batch, steps)}")
 
     D = len(dirs)
     leaves = [(tape.watch(p.w_in), tape.watch(p.w_hid), tape.watch(p.bias)) for p in dirs]
@@ -615,10 +614,12 @@ def _gru_directions(
     xg = np.empty((steps, 3, D, batch, n))
     for d in range(D):
         xg[:, :, d] = _reading_order(proj[:, :, d], d).transpose(1, 2, 0, 3)
-    h0 = np.zeros((D, batch, n))
+    # states[0] holds the initial states and states[t + 1] the states
+    # after step t, so the reverse sweep reads each step's previous state
+    # as the view states[:-1].
+    states = np.empty((steps + 1, D, batch, n))
     for d, h in enumerate(h0s):
-        if h is not None:
-            h0[d] = h.data
+        states[0, d] = 0.0 if h is None else h.data
 
     # sigmoid(a) = (1 + tanh(a/2)) / 2 and halving is exact, so the z and
     # r pre-activations are formed at half scale and cost one tanh.
@@ -626,10 +627,9 @@ def _gru_directions(
     x_zr *= 0.5
     u_zr = 0.5 * u[:2]
     u_c = u[2]
-    states = np.empty((steps, D, batch, n))
     zrs = np.empty((steps, 2, D, batch, n))
     cs = np.empty((steps, D, batch, n))
-    h = h0
+    h = states[0]
     for t in range(steps):
         zr = zrs[t]
         np.matmul(h, u_zr, out=zr)
@@ -641,11 +641,11 @@ def _gru_directions(
         np.matmul(zr[1] * h, u_c, out=c)
         c += xg[t, 2]
         np.tanh(c, out=c)
-        h = np.add(h, zr[0] * (c - h), out=states[t])
+        h = np.add(h, zr[0] * (c - h), out=states[t + 1])
 
     out_data = np.empty((batch, steps, D * n))
     for d in range(D):
-        out_data[:, :, d * n : (d + 1) * n] = _reading_order(states[:, d].transpose(1, 0, 2), d)
+        out_data[:, :, d * n : (d + 1) * n] = _reading_order(states[1:, d].transpose(1, 0, 2), d)
 
     def bwd(out):
         w_in, u = stacked()
@@ -653,7 +653,7 @@ def _gru_directions(
         g = np.empty((steps, D, batch, n))
         for d in range(D):
             g[:, d] = _reading_order(out.grad[:, :, d * n : (d + 1) * n], d).transpose(1, 0, 2)
-        h_prevs = np.concatenate([h0[None], states[:-1]])
+        h_prevs = states[:-1]
         d_xg = np.empty((steps, 3, D, batch, n))  # gradient of the gate pre-activations
         dh = np.zeros((D, batch, n))
         for t in range(steps - 1, -1, -1):
@@ -702,25 +702,7 @@ def _gru_directions(
             _acc(x, (d_proj @ w_in.T).reshape(batch, steps, width))
 
     parents = (x, *(h for h in h0s if h is not None), *(leaf for trio in leaves for leaf in trio))
-    return tape._node(out_data, parents, bwd, op)
-
-
-def gru_scan(
-    x: Tensor,
-    h0: Tensor | None,
-    params: GRUParams,
-    mask: np.ndarray | None = None,
-) -> Tensor:
-    """Run a GRU over axis 1 of x (B, T, in) -> states (B, T, hidden).
-
-    The one-direction case of the stacked scan behind bigru: a single
-    fused tape node with hand-written backward; per-step activations
-    are saved for the reverse sweep. mask (B, T) freezes the state
-    through padded steps: a masked step carries h[t] = h[t-1], so
-    states at and past the last real token all equal the state at that
-    token, and padded inputs receive zero gradient.
-    """
-    return _gru_directions(x, (h0,), (params,), mask, "gru_scan")
+    return tape._node(out_data, parents, bwd, "bigru")
 
 
 def bigru(
@@ -730,7 +712,7 @@ def bigru(
     params: BiGRUParams,
     mask: np.ndarray | None = None,
 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """Bidirectional GRU over a (B, T, in) or single (T, in) sequence.
+    """Bidirectional GRU over a (B, T, in) batch of sequences.
 
     Both directions run stacked in one fused scan recorded as a single
     tape node, whose output holds the per-step states (forward and
@@ -740,27 +722,10 @@ def bigru(
     flipped sequence under the flipped mask, so with a padded batch its
     final state is the state after the first real token.
     """
-    tape = sequence.tape
-    squeeze = sequence.ndim == 2
-    if squeeze:
-        steps, width = sequence.data.shape
-        sequence = tape.reshape(sequence, (1, steps, width))
-        if h0_fwd is not None:
-            h0_fwd = tape.reshape(h0_fwd, (1, h0_fwd.data.shape[-1]))
-        if h0_bwd is not None:
-            h0_bwd = tape.reshape(h0_bwd, (1, h0_bwd.data.shape[-1]))
-        if mask is not None:
-            mask = np.asarray(mask, dtype=np.float64).reshape(1, steps)
-    steps = sequence.data.shape[1]
+    outputs = _gru_directions(sequence, (h0_fwd, h0_bwd), (params.fwd, params.bwd), mask)
     n = params.hidden
-
-    outputs = _gru_directions(sequence, (h0_fwd, h0_bwd), (params.fwd, params.bwd), mask, "bigru")
-    final_f = tape.select(outputs, (slice(None), steps - 1, slice(0, n)))
-    final_b = tape.select(outputs, (slice(None), 0, slice(n, 2 * n)))
-    if squeeze:
-        outputs = tape.reshape(outputs, (steps, 2 * n))
-        final_f = tape.reshape(final_f, (n,))
-        final_b = tape.reshape(final_b, (n,))
+    final_f = outputs.tape.select(outputs, (slice(None), -1, slice(0, n)))
+    final_b = outputs.tape.select(outputs, (slice(None), 0, slice(n, 2 * n)))
     return outputs, (final_f, final_b)
 
 

@@ -28,7 +28,7 @@ from .analysis import (
     export_attention,
     mcnemar_one_sided,
 )
-from .autodiff import backward, load_checkpoint, restore_parameters, save_checkpoint
+from .autodiff import backward, load_checkpoint, restore_parameters
 from .corpus import (
     DatasetSplit,
     SynthConfig,

@@ -19,15 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor
-from .corpus import PAD_ID, ClozeSample, Vocabulary
+from .corpus import ClozeSample, Vocabulary
 from .embed import EmbedConfig, TokenEmbedder, char_id_matrix
-from .errors import ContractViolation
-from .ranker import (
-    PredictionDistribution,
-    aggregate_candidates,
-    find_occurrences,
-    predict,
-)
+from .errors import ContractViolation, NumericalError
+from .ranker import PredictionDistribution, find_occurrences, predict
 from .reader import AttentionTrace, ReaderConfig, ReaderParams, encode_full, qe_comm_features
 
 
@@ -102,10 +97,13 @@ def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
 
 @dataclass
 class ForwardResult:
-    """One forward's outputs. The result holds its tape, and tensors
-    refer to their tape only weakly, so the graph and every activation
-    saved for backward live exactly as long as the result (or the tape)
-    is held."""
+    """One forward's outputs. cand_probs is the pointer sum that ranks
+    candidates: row b holds sample b's candidate distribution in the
+    order of its candidate list, zero-padded to g_max; predict_batch
+    reads it as is. The result holds its tape, and tensors refer to
+    their tape only weakly, so the graph and every activation saved for
+    backward live exactly as long as the result (or the tape) is
+    held."""
 
     tape: Tape
     loss: Tensor | None
@@ -138,9 +136,6 @@ class Model:
         if len(set(ids)) != len(ids):
             raise ContractViolation("parameter ids are not unique")
         return out
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if p.trainable]
 
     def forward_batch(
         self,
@@ -185,20 +180,22 @@ class Model:
         return ForwardResult(tape, loss, token_probs, cand_probs, doc_enc, qry_enc, trace)
 
     def predict_batch(self, result: ForwardResult, batch: Batch) -> list[PredictionDistribution]:
-        """Per-sample distributions from a batched forward, trimmed to
-        each sample's real length and candidate set."""
+        """Per-sample distributions read from the forward's cand_probs,
+        trimmed to each sample's candidates in the order of
+        sample.candidates. A row that is not finite or has no mass
+        (every candidate position underflowed) raises NumericalError
+        naming its sample."""
         out = []
         for b, sample in enumerate(batch.samples):
-            n = len(sample.document)
-            y = np.array(result.token_probs.data[b, :n])
-            probs = aggregate_candidates(y, find_occurrences(sample.document, sample.candidates))
-            out.append(PredictionDistribution(y, probs, predict(probs)))
+            row = result.cand_probs.data[b, : len(sample.candidates)]
+            if not (np.isfinite(row).all() and row.sum() > 0.0):
+                raise NumericalError(
+                    f"batch sample {b} (candidates {sample.candidates}): candidate "
+                    f"probabilities {row.tolist()} are not finite or have zero mass"
+                )
+            probs = dict(zip(sample.candidates, row.tolist()))
+            out.append(PredictionDistribution(probs, predict(probs)))
         return out
-
-    def predict_sample(self, sample: ClozeSample) -> PredictionDistribution:
-        batch = assemble_batch([sample], self.vocab)
-        result = self.forward_batch(batch)
-        return self.predict_batch(result, batch)[0]
 
     def encode_sample(self, sample: ClozeSample) -> tuple[np.ndarray, np.ndarray, AttentionTrace]:
         """Final encodings (n, r) / (m, r) and attention trace for one

@@ -1,12 +1,13 @@
-"""Candidate ranking: placeholder-to-document attention, occurrence
-summation, and prediction dumps.
+"""Candidate occurrences, the prediction rule, and prediction dumps.
 
-The token distribution is a softmax over document positions of the dot
-product between each final document state and the final query state at
-the placeholder. A candidate's score is the sum of that distribution
-over the candidate's occurrence positions in ascending order (so the
-result is bit-identical to a per-position scan), renormalized over the
-candidate set.
+The model ranks candidates by pointer-sum attention, computed for a
+whole batch in `Model.forward_batch`: a softmax over document positions
+of the dot product between each final document state and the final
+query state at the placeholder, summed over each candidate's occurrence
+positions through the 0/1 matrix built here, and renormalized over the
+candidate set. `predict` picks the most probable candidate, exact ties
+going to the lexicographically smallest. The scalar per-position
+version of the same ranking is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, ParseError
+from .errors import ContractViolation, ParseError
 
 
 @dataclass
@@ -45,63 +46,6 @@ def find_occurrences(document: list[str], candidates: list[str]) -> CandidateOcc
     return CandidateOccurrences(positions)
 
 
-def token_distribution(
-    doc_enc: np.ndarray,
-    qry_enc: np.ndarray,
-    placeholder_index: int,
-    doc_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Softmax over document positions of doc_enc @ qry_enc[placeholder]."""
-    doc_enc = np.asarray(doc_enc, dtype=np.float64)
-    qry_enc = np.asarray(qry_enc, dtype=np.float64)
-    if doc_enc.ndim != 2 or qry_enc.ndim != 2 or doc_enc.shape[1] != qry_enc.shape[1]:
-        raise DimensionError(
-            f"encodings must be (n, r) and (m, r): {doc_enc.shape} vs {qry_enc.shape}"
-        )
-    if not 0 <= placeholder_index < qry_enc.shape[0]:
-        raise ContractViolation(
-            f"placeholder index {placeholder_index} outside query length {qry_enc.shape[0]}"
-        )
-    scores = doc_enc @ qry_enc[placeholder_index]
-    if doc_mask is not None:
-        mask = np.asarray(doc_mask, dtype=np.float64)
-        if not mask.any():
-            raise ContractViolation("token_distribution: document mask is all zero")
-        scores = scores + (mask - 1.0) * 1e30
-    shifted = np.exp(scores - scores.max())
-    if doc_mask is not None:
-        shifted = shifted * mask
-    return shifted / shifted.sum()
-
-
-def aggregate_candidates(
-    y: np.ndarray, occurrences: CandidateOccurrences
-) -> dict[str, float]:
-    """Pointer-sum aggregation, renormalized over the candidate set.
-
-    Each candidate's mass is accumulated over its positions in
-    ascending order; keep that order when comparing against a direct
-    per-position scan.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    raw: dict[str, float] = {}
-    for cand, positions in occurrences.positions.items():
-        total = 0.0
-        for pos in positions:
-            if pos >= y.shape[0]:
-                raise ContractViolation(
-                    f"occurrence position {pos} outside distribution length {y.shape[0]}"
-                )
-            total += float(y[pos])
-        raw[cand] = total
-    denom = 0.0
-    for value in raw.values():
-        denom += value
-    if denom <= 0.0:
-        raise ContractViolation("candidate occurrence mass is zero; nothing to rank")
-    return {cand: value / denom for cand, value in raw.items()}
-
-
 def predict(candidate_probs: dict[str, float]) -> str:
     """Highest-probability candidate; exact ties go to the
     lexicographically smallest string."""
@@ -112,22 +56,8 @@ def predict(candidate_probs: dict[str, float]) -> str:
 
 @dataclass
 class PredictionDistribution:
-    token_probs: np.ndarray
     candidate_probs: dict[str, float]
     predicted: str
-
-
-def rank(
-    doc_enc: np.ndarray,
-    qry_enc: np.ndarray,
-    placeholder_index: int,
-    document: list[str],
-    candidates: list[str],
-    doc_mask: np.ndarray | None = None,
-) -> PredictionDistribution:
-    y = token_distribution(doc_enc, qry_enc, placeholder_index, doc_mask)
-    probs = aggregate_candidates(y, find_occurrences(document, candidates))
-    return PredictionDistribution(y, probs, predict(probs))
 
 
 # ---------------------------------------------------------------------------

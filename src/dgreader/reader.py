@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import BiGRUParams, Parameter, Tape, Tensor, bigru
+from .autodiff import BiGRUParams, Parameter, Tensor, bigru
 from .corpus import PLACEHOLDER
 from .errors import ConfigError, ContractViolation, DimensionError
 
@@ -248,16 +248,14 @@ def encode_full(
     qe_features: np.ndarray | None = None,
     dropout: tuple[float, np.random.Generator | None, bool] = (0.0, None, False),
 ) -> tuple[Tensor, Tensor, AttentionTrace]:
-    """Full encoding pass over (B, n, D) / (B, m, D) embeddings (or a
-    single (n, D) / (m, D) pair), returning the final document and query
-    readings plus the attention trace (cfg.hops energy matrices)."""
-    tape = doc_emb.tape
-    squeeze = doc_emb.ndim == 2
-    if squeeze:
-        doc_emb = tape.reshape(doc_emb, (1,) + doc_emb.data.shape)
-        qry_emb = tape.reshape(qry_emb, (1,) + qry_emb.data.shape)
-        if qe_features is not None:
-            qe_features = np.asarray(qe_features, dtype=np.float64).reshape(1, -1)
+    """Full encoding pass over (B, n, D) / (B, m, D) embeddings,
+    returning the final document and query readings plus the attention
+    trace (cfg.hops energy matrices)."""
+    if doc_emb.ndim != 3 or qry_emb.ndim != 3:
+        raise DimensionError(
+            f"encode_full expects (B, n, D) and (B, m, D) embeddings, got "
+            f"{doc_emb.data.shape} and {qry_emb.data.shape}"
+        )
     batch, n, _ = doc_emb.data.shape
     m = qry_emb.data.shape[1]
     if doc_mask is None:
@@ -284,8 +282,4 @@ def encode_full(
             qe_features=qe_features if (last and cfg.qe_comm) else None,
             dropout=dropout,
         )
-    doc_enc, qry_enc = state.doc_enc, state.qry_enc
-    if squeeze:
-        doc_enc = tape.reshape(doc_enc, (n, cfg.hidden))
-        qry_enc = tape.reshape(qry_enc, (m, cfg.hidden))
-    return doc_enc, qry_enc, trace
+    return state.doc_enc, state.qry_enc, trace

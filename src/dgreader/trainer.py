@@ -169,21 +169,6 @@ class TrainResult:
     stopped_early: bool = False
     reached_target: bool = False
 
-    @property
-    def final_dev_acc(self) -> float:
-        if not self.rows:
-            raise ContractViolation("no epochs were run")
-        return self.rows[-1]["dev_acc"]
-
-    @property
-    def log_lines(self) -> list[str]:
-        lines = [LOG_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r['epoch']},{r['train_loss']:.6f},{r['dev_acc']:.6f},{r['seconds']:.3f}"
-            )
-        return lines
-
 
 def train(
     model: Model,

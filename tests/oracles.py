@@ -1,10 +1,15 @@
-"""Step-wise and per-position oracles for the engine and the embedder.
+"""Step-wise and per-position oracles for the engine, the embedder and
+the ranker.
 
 `gru_cell` is one GRU step composed from primitive tape ops; chains of
 it check the fused scans. The embedding helpers compose characters once
 per token position, padding included. They are the reference for the
 package's once-per-type composition, and they check the character
-embedder against the cell chain.
+embedder against the cell chain. `token_distribution`,
+`aggregate_candidates` and `rank` are the scalar pointer-sum ranking of
+one unpadded sample: each candidate's mass is accumulated position by
+position in ascending order. They are the reference for the batched
+`cand_probs` that the model's forward computes as one matrix product.
 """
 
 import numpy as np
@@ -13,6 +18,7 @@ from dgreader.autodiff import GRUParams, Tape, Tensor
 from dgreader.corpus import PAD_ID
 from dgreader.embed import TokenEmbedder, char_id_matrix
 from dgreader.errors import ContractViolation, DimensionError
+from dgreader.ranker import CandidateOccurrences, PredictionDistribution, find_occurrences, predict
 
 
 def gru_cell(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
@@ -119,3 +125,73 @@ def char_embed_token(emb: TokenEmbedder, tape: Tape, token: str) -> Tensor:
     ids, mask = char_id_matrix(emb.vocab, [token])
     out = emb.char.embed_ids(tape, ids, mask)
     return tape.reshape(out, (emb.cfg.char_out,))
+
+
+def token_distribution(
+    doc_enc: np.ndarray,
+    qry_enc: np.ndarray,
+    placeholder_index: int,
+    doc_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Softmax over document positions of doc_enc @ qry_enc[placeholder]."""
+    doc_enc = np.asarray(doc_enc, dtype=np.float64)
+    qry_enc = np.asarray(qry_enc, dtype=np.float64)
+    if doc_enc.ndim != 2 or qry_enc.ndim != 2 or doc_enc.shape[1] != qry_enc.shape[1]:
+        raise DimensionError(
+            f"encodings must be (n, r) and (m, r): {doc_enc.shape} vs {qry_enc.shape}"
+        )
+    if not 0 <= placeholder_index < qry_enc.shape[0]:
+        raise ContractViolation(
+            f"placeholder index {placeholder_index} outside query length {qry_enc.shape[0]}"
+        )
+    scores = doc_enc @ qry_enc[placeholder_index]
+    if doc_mask is not None:
+        mask = np.asarray(doc_mask, dtype=np.float64)
+        if not mask.any():
+            raise ContractViolation("token_distribution: document mask is all zero")
+        scores = scores + (mask - 1.0) * 1e30
+    shifted = np.exp(scores - scores.max())
+    if doc_mask is not None:
+        shifted = shifted * mask
+    return shifted / shifted.sum()
+
+
+def aggregate_candidates(y: np.ndarray, occurrences: CandidateOccurrences) -> dict[str, float]:
+    """Pointer-sum aggregation, renormalized over the candidate set.
+
+    Each candidate's mass is accumulated over its positions in
+    ascending order, so the result is bit-identical to a direct
+    per-position scan.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    raw: dict[str, float] = {}
+    for cand, positions in occurrences.positions.items():
+        total = 0.0
+        for pos in positions:
+            if pos >= y.shape[0]:
+                raise ContractViolation(
+                    f"occurrence position {pos} outside distribution length {y.shape[0]}"
+                )
+            total += float(y[pos])
+        raw[cand] = total
+    denom = 0.0
+    for value in raw.values():
+        denom += value
+    if denom <= 0.0:
+        raise ContractViolation("candidate occurrence mass is zero; nothing to rank")
+    return {cand: value / denom for cand, value in raw.items()}
+
+
+def rank(
+    doc_enc: np.ndarray,
+    qry_enc: np.ndarray,
+    placeholder_index: int,
+    document: list[str],
+    candidates: list[str],
+    doc_mask: np.ndarray | None = None,
+) -> PredictionDistribution:
+    """Candidate distribution and prediction for one sample's unpadded
+    (n, r) / (m, r) encodings."""
+    y = token_distribution(doc_enc, qry_enc, placeholder_index, doc_mask)
+    probs = aggregate_candidates(y, find_occurrences(document, candidates))
+    return PredictionDistribution(probs, predict(probs))

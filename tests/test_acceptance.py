@@ -36,7 +36,7 @@ from dgreader.embed import EmbedConfig
 from dgreader.errors import ParseError
 from dgreader.gradcheck import check_gradients
 from dgreader.model import Model, assemble_batch
-from dgreader.ranker import aggregate_candidates, find_occurrences, predict, token_distribution
+from dgreader.ranker import find_occurrences, predict
 from dgreader.reader import (
     ABLATION_PRESETS,
     ReaderConfig,
@@ -49,6 +49,7 @@ from dgreader.rulekit import STATUS_AMBIGUOUS, STATUS_NO_ANCHOR, STATUS_SOLVED, 
 from dgreader.trainer import HyperParams, evaluate, train
 
 from ga_reference import ga_encode, random_embeddings, suffix_mask
+from oracles import aggregate_candidates, token_distribution
 
 DATA = Path(__file__).parent / "data"
 

@@ -15,7 +15,6 @@ from dgreader.autodiff import (
     Tape,
     backward,
     bigru,
-    gru_scan,
     load_checkpoint,
     restore_parameters,
     save_checkpoint,
@@ -290,78 +289,14 @@ class TestGRUCell:
         assert report.passed, report.summary()
 
 
-class TestGRUScan:
-    @pytest.mark.parametrize("with_mask", [False, True])
-    def test_matches_unrolled_cell_chain(self, with_mask):
-        rng = np.random.default_rng(21)
-        batch, steps, width, hidden = 2, 5, 3, 4
-        params = make_gru(rng, "g", width, hidden)
-        x = rng.normal(size=(batch, steps, width))
-        h0 = rng.normal(size=(batch, hidden))
-        if with_mask:
-            mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-        else:
-            mask = None
-
-        tape = Tape()
-        fused = gru_scan(tape.constant(x), tape.constant(h0), params, mask)
-
-        chain = Tape()
-        h = chain.constant(h0)
-        steps_out = []
-        for t in range(steps):
-            nxt = gru_cell(chain.constant(x[:, t]), h, params)
-            if mask is not None:
-                m = chain.constant(mask[:, t : t + 1])
-                one = chain.constant(1.0)
-                nxt = chain.add(chain.mul(m, nxt), chain.mul(chain.sub(one, m), h))
-            steps_out.append(nxt)
-            h = nxt
-        expected = np.stack([s.data for s in steps_out], axis=1)
-        np.testing.assert_allclose(fused.data, expected, atol=1e-13)
-
-    def test_masked_scan_equals_unpadded_scan(self):
-        rng = np.random.default_rng(22)
-        params = make_gru(rng, "g", 3, 4)
-        x = rng.normal(size=(1, 4, 3))
-        padded = np.concatenate([x, np.zeros((1, 3, 3))], axis=1)
-        mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
-
-        tape = Tape()
-        short = gru_scan(tape.constant(x), None, params)
-        long = gru_scan(tape.constant(padded), None, params, mask)
-        np.testing.assert_array_equal(long.data[:, :4], short.data)
-        # state freezes after the last real step
-        np.testing.assert_array_equal(long.data[:, 4:], np.repeat(long.data[:, 3:4], 3, axis=1))
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(23)
-        params = make_gru(rng, "g", 3, 2)
-        x_param = Parameter("x", rng.normal(size=(2, 4, 3)))
-        h0_param = Parameter("h0", rng.normal(size=(2, 2)))
-        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=float)
-        checked = params.parameters() + [x_param, h0_param]
-
-        def run():
-            tape = Tape()
-            out = gru_scan(tape.watch(x_param), tape.watch(h0_param), params, mask)
-            loss = tape.mean_all(tape.tanh(out))
-            return tape, loss
-
-        tape, loss = run()
-        grads = backward(tape, loss)
-        report = check_gradients(lambda: run()[1].data.item(), checked, grads)
-        assert report.passed, report.summary()
-
-
 class TestBiGRU:
     def test_matches_unrolled_cell_chains(self):
         rng = np.random.default_rng(31)
         steps, width, hidden = 3, 4, 3
         params = BiGRUParams(make_gru(rng, "f", width, hidden), make_gru(rng, "b", width, hidden))
-        x = rng.normal(size=(steps, width))
-        h0f = rng.normal(size=hidden)
-        h0b = rng.normal(size=hidden)
+        x = rng.normal(size=(1, steps, width))
+        h0f = rng.normal(size=(1, hidden))
+        h0b = rng.normal(size=(1, hidden))
 
         tape = Tape()
         outputs, (ff, fb) = bigru(
@@ -369,19 +304,20 @@ class TestBiGRU:
         )
 
         chain = Tape()
-        h = chain.constant(h0f.reshape(1, -1))
+        h = chain.constant(h0f)
         fwd = []
         for t in range(steps):
-            h = gru_cell(chain.constant(x[t : t + 1]), h, params.fwd)
-            fwd.append(h.data[0])
-        h = chain.constant(h0b.reshape(1, -1))
+            h = gru_cell(chain.constant(x[:, t]), h, params.fwd)
+            fwd.append(h.data)
+        h = chain.constant(h0b)
         rev = {}
         for t in reversed(range(steps)):
-            h = gru_cell(chain.constant(x[t : t + 1]), h, params.bwd)
-            rev[t] = h.data[0]
+            h = gru_cell(chain.constant(x[:, t]), h, params.bwd)
+            rev[t] = h.data
         expected = np.concatenate(
-            [np.stack(fwd), np.stack([rev[t] for t in range(steps)])], axis=-1
+            [np.stack(fwd, axis=1), np.stack([rev[t] for t in range(steps)], axis=1)], axis=-1
         )
+        assert outputs.data.shape == (1, steps, 2 * hidden)
         np.testing.assert_allclose(outputs.data, expected, atol=1e-13)
         np.testing.assert_allclose(ff.data, fwd[-1], atol=1e-13)
         np.testing.assert_allclose(fb.data, rev[0], atol=1e-13)

@@ -1,9 +1,10 @@
 """End-to-end model tests: batch assembly and its type table, the
-batched probability path against the per-sample ranker path, the type
+batched candidate distribution against the scalar ranker oracle, the type
 table against per-position character composition, the loss formula,
 gradient integrity on a small configuration, and invariance to batch
 composition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,11 @@ import pytest
 from dgreader.autodiff import Tape, backward
 from dgreader.corpus import ClozeSample, DatasetSplit, SynthConfig, build_vocab, generate_synthetic
 from dgreader.embed import EmbedConfig, char_id_matrix
-from dgreader.errors import ConfigError, ContractViolation
+from dgreader.errors import ConfigError, ContractViolation, NumericalError
 from dgreader.gradcheck import check_gradients
 from dgreader.model import Batch, Model, assemble_batch
-from dgreader.ranker import rank
 from dgreader.reader import ABLATION_PRESETS, ReaderConfig
-from oracles import embed_sides
+from oracles import embed_sides, rank, token_distribution
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,26 @@ def small_world():
     split = DatasetSplit("train", samples)
     vocab = build_vocab([split])
     return split, vocab
+
+
+@pytest.fixture(scope="module")
+def repeated_world(small_world):
+    """small_world's samples with every candidate written over a further
+    non-candidate position, so each candidate's mass sums two or more
+    positions; every other sample keeps two of its three candidates, so
+    the batch pads the candidate axis as well as the documents."""
+    split, vocab = small_world
+    samples = []
+    for i, s in enumerate(split.samples):
+        doc = list(s.document)
+        free = [t for t, tok in enumerate(doc) if tok not in s.candidates]
+        for cand, t in zip(s.candidates, free):
+            doc[t] = cand
+        cands = list(s.candidates)
+        if i % 2:
+            cands.remove(next(c for c in cands if c != s.answer))
+        samples.append(dataclasses.replace(s, document=doc, candidates=cands).validate())
+    return samples, vocab
 
 
 def small_model(vocab, seed=0, **reader_kw):
@@ -106,27 +126,53 @@ class TestForward:
         ) / 4.0
         assert abs(out.loss.data.item() - expect) < 1e-12
 
-    def test_batched_probs_match_sample_level_ranker(self, small_world):
+    def test_batched_probs_match_sample_level_ranker(self, repeated_world):
+        # predict_batch on one padded batch against the scalar oracle on
+        # each sample's unpadded encodings, for every preset
+        samples, vocab = repeated_world
+        assert len({len(s.document) for s in samples}) > 1
+        assert len({len(s.candidates) for s in samples}) > 1
+        batch = assemble_batch(samples, vocab)
+        for preset in sorted(ABLATION_PRESETS):
+            model = small_model(vocab, **vars(ReaderConfig.from_preset(preset, hops=2, hidden=6)))
+            out = model.forward_batch(batch)
+            dists = model.predict_batch(out, batch)
+            assert len(dists) == len(samples)
+            for b, (s, dist) in enumerate(zip(samples, dists)):
+                doc_enc, qry_enc, _ = model.encode_sample(s)
+                y = token_distribution(doc_enc, qry_enc, s.placeholder_index)
+                np.testing.assert_allclose(
+                    out.token_probs.data[b, : len(s.document)], y, rtol=0.0, atol=1e-12
+                )
+                want = rank(doc_enc, qry_enc, s.placeholder_index, s.document, s.candidates)
+                assert list(dist.candidate_probs) == s.candidates, preset
+                assert dist.predicted == want.predicted, preset
+                for cand in s.candidates:
+                    assert abs(dist.candidate_probs[cand] - want.candidate_probs[cand]) <= 1e-12
+
+    @pytest.mark.parametrize("bad", ["non-finite", "zero-mass"])
+    def test_unrankable_candidate_row_names_its_sample(self, small_world, bad):
         split, vocab = small_world
         model = small_model(vocab)
-        samples = split.samples[:5]
-        batch = assemble_batch(samples, vocab)
+        batch = assemble_batch(split.samples[:3], vocab)
         out = model.forward_batch(batch)
-        for b, s in enumerate(samples):
-            y = out.token_probs.data[b, : len(s.document)]
-            doc_enc, qry_enc, _ = model.encode_sample(s)
-            dist = rank(doc_enc, qry_enc, s.placeholder_index, s.document, s.candidates)
-            np.testing.assert_allclose(y, dist.token_probs, atol=1e-9)
-            for g, cand in enumerate(s.candidates):
-                assert abs(out.cand_probs.data[b, g] - dist.candidate_probs[cand]) < 1e-9
+        if bad == "non-finite":
+            out.cand_probs.data[1, 0] = np.nan
+        else:
+            out.cand_probs.data[1] = 0.0
+        with pytest.raises(NumericalError, match="batch sample 1 "):
+            model.predict_batch(out, batch)
 
-    def test_predict_batch_matches_predict_sample(self, small_world):
+    def test_predict_batch_matches_batches_of_one(self, small_world):
         split, vocab = small_world
         model = small_model(vocab)
         samples = split.samples[:6]
         batch = assemble_batch(samples, vocab)
         batched = model.predict_batch(model.forward_batch(batch), batch)
-        singles = [model.predict_sample(s) for s in samples]
+        singles = []
+        for s in samples:
+            one = assemble_batch([s], vocab)
+            singles.extend(model.predict_batch(model.forward_batch(one), one))
         assert [d.predicted for d in batched] == [d.predicted for d in singles]
         for a, b in zip(batched, singles):
             assert set(a.candidate_probs) == set(b.candidate_probs)
@@ -192,7 +238,6 @@ class TestModelGradients:
     def test_frozen_word_table_not_in_trainables(self, small_world):
         _, vocab = small_world
         model = small_model(vocab)
-        out = model.forward_batch(assemble_batch([], vocab)) if False else None
         trainable = {p.id for p in model.parameters() if p.trainable}
         assert model.embedder.word_table.id not in trainable
 

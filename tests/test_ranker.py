@@ -1,6 +1,8 @@
-"""Ranker tests: token distribution against a scalar softmax oracle,
+"""Ranker tests: occurrences, tie-breaking and the prediction record
+round trip, plus the scalar oracles in tests/oracles.py checked against
+their own references: the token distribution against a scalar softmax,
 occurrence aggregation against a brute-force positional scan (exact
-equality), tie-breaking, and the prediction record round trip."""
+equality)."""
 
 import json
 import math
@@ -11,15 +13,13 @@ import pytest
 from dgreader.errors import ContractViolation, ParseError
 from dgreader.ranker import (
     CandidateOccurrences,
-    aggregate_candidates,
     dump_predictions,
     find_occurrences,
     load_predictions,
     predict,
     prediction_record,
-    rank,
-    token_distribution,
 )
+from oracles import aggregate_candidates, rank, token_distribution
 
 
 def scalar_distribution(doc_enc, q, mask):

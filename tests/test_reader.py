@@ -238,16 +238,17 @@ class TestEncodeFull:
             assert len(trace.doc_attention) == hops
             assert trace.energies[0].shape == (2, 5, 4)
 
-    def test_single_sample_rank_two_inputs(self):
+    def test_rank_two_inputs_rejected(self):
+        # a single sample is a batch of one; an unbatched (T, D) sequence
+        # is a located shape error in both the pass and the scan
         rng = np.random.default_rng(21)
         cfg, params = tiny_setup(rng, qe=False)
         tape = Tape()
-        doc_enc, qry_enc, _ = encode_full(
-            tape.constant(rng.normal(size=(5, 5))), tape.constant(rng.normal(size=(3, 5))),
-            cfg, params,
-        )
-        assert doc_enc.data.shape == (5, 8)
-        assert qry_enc.data.shape == (3, 8)
+        doc, qry = tape.constant(rng.normal(size=(5, 5))), tape.constant(rng.normal(size=(3, 5)))
+        with pytest.raises(DimensionError, match=r"\(5, 5\) and \(3, 5\)"):
+            encode_full(doc, qry, cfg, params)
+        with pytest.raises(DimensionError, match=r"bigru expects \(B, T, in\), got \(5, 5\)"):
+            bigru(doc, None, None, params.doc_readers[0])
 
     def test_qe_mismatch_rejected(self):
         rng = np.random.default_rng(22)

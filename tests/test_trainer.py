@@ -12,7 +12,7 @@ from dgreader.autodiff import Parameter, load_checkpoint, restore_parameters
 from dgreader.corpus import DatasetSplit, SynthConfig, build_vocab, generate_synthetic
 from dgreader.embed import EmbedConfig
 from dgreader.errors import ConfigError, ContractViolation, NumericalError
-from dgreader.model import Model
+from dgreader.model import Model, assemble_batch
 from dgreader.reader import ReaderConfig
 from dgreader.trainer import (
     LOG_HEADER,
@@ -178,12 +178,12 @@ class TestEvaluate:
         samples, vocab = make_world()
         model = make_model(vocab)
         result = evaluate(model, samples, batch_size=5)
-        correct = sum(
-            model.predict_sample(s).predicted == s.answer for s in samples
-        )
-        probs = [
-            model.predict_sample(s).candidate_probs[s.answer] for s in samples
-        ]
+        singles = []
+        for s in samples:
+            one = assemble_batch([s], vocab)
+            singles.extend(model.predict_batch(model.forward_batch(one), one))
+        correct = sum(d.predicted == s.answer for d, s in zip(singles, samples))
+        probs = [d.candidate_probs[s.answer] for d, s in zip(singles, samples)]
         assert result.accuracy == correct / len(samples)
         assert abs(result.nll - mean_nll(probs)) < 1e-9
         assert result.count == len(samples)
