@@ -14,11 +14,15 @@ Gate convention for the GRU primitives, fixed throughout the package:
     c = tanh(x Wc + (r * h) Uc + bc)       candidate
     h' = (1 - z) * h + z * c
 
-Fused parameter layout: w_in is (input, 3*hidden) with column blocks
-[z | r | c], w_hid is (hidden, 3*hidden) likewise, bias is (3*hidden,).
+Stacked parameter layout: a BiGRUParams stores both directions in the
+layout the scan reads, as fused RNN layers do (cuDNN; Appleyard et al.
+2016). w_in is (input, 2*3*hidden) with column blocks
+[fwd z | r | c, bwd z | r | c], w_hid is (2, hidden, 3*hidden), each
+direction's block with columns [z | r | c], and bias is (2*3*hidden,),
+laid out like the columns of w_in.
 
 bigru, the one recurrent primitive, runs its two directions stacked as
-(D, B, ·) in one scan core, so a single time loop, whose recurrence is
+(2, B, ·) in one scan, so a single time loop, whose recurrence is
 batched over directions, and a single reverse sweep serve both; the
 backward direction reads the flipped input under the flipped mask. The
 whole scan is one tape node: a bigru over (B, T, in) records one node
@@ -45,7 +49,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, DimensionError, ParseError
 
 CHECKPOINT_MAGIC = b"DGRD"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Additive mask offset: exp() of anything this far below the row max
 # underflows to exactly 0.0 in float64, so masked softmax entries are
@@ -115,25 +119,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, needs_grad={self.needs_grad})"
 
-    # Operator sugar; every tensor carries its tape, so dispatch is direct.
-    def __add__(self, other):
-        return self.tape.add(self, self.tape.as_tensor(other))
-
-    def __sub__(self, other):
-        return self.tape.sub(self, self.tape.as_tensor(other))
-
-    def __mul__(self, other):
-        return self.tape.mul(self, self.tape.as_tensor(other))
-
-    def __truediv__(self, other):
-        return self.tape.div(self, self.tape.as_tensor(other))
-
-    def __matmul__(self, other):
-        return self.tape.matmul(self, other)
-
-    def __neg__(self):
-        return self.tape.neg(self)
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
@@ -178,12 +163,6 @@ class Tape:
         data = np.asarray(value, dtype=np.float64)
         return Tensor(data, self)
 
-    def as_tensor(self, value) -> Tensor:
-        return value if isinstance(value, Tensor) else self.constant(value)
-
-    def zeros(self, shape) -> Tensor:
-        return self.constant(np.zeros(shape))
-
     def watch(self, param: Parameter) -> Tensor:
         """Bring a Parameter onto this tape. Repeated watches of the same
         Parameter return the same leaf, so gradients accumulate."""
@@ -213,13 +192,6 @@ class Tape:
             _acc(b, _unbroadcast(out.grad, b.data.shape))
 
         return self._node(a.data + b.data, (a, b), bwd, "add")
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        def bwd(out):
-            _acc(a, _unbroadcast(out.grad, a.data.shape))
-            _acc(b, _unbroadcast(-out.grad, b.data.shape))
-
-        return self._node(a.data - b.data, (a, b), bwd, "sub")
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         def bwd(out):
@@ -296,15 +268,6 @@ class Tape:
                 lo += w
 
         return self._node(np.concatenate([p.data for p in parts], axis=-1), parts, bwd, "concat_last")
-
-    def slice_last(self, a: Tensor, lo: int, hi: int) -> Tensor:
-        def bwd(out):
-            if a.needs_grad:
-                buf = np.zeros_like(a.data)
-                buf[..., lo:hi] = out.grad
-                _acc(a, buf)
-
-        return self._node(a.data[..., lo:hi], (a,), bwd, "slice_last")
 
     def reshape(self, a: Tensor, shape) -> Tensor:
         def bwd(out):
@@ -477,21 +440,27 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-class GRUParams:
-    """Fused weights for one GRU direction; see the module docstring for
-    the gate layout."""
+class BiGRUParams:
+    """The weights of one bidirectional GRU: three Parameters, already in
+    the stacked layout the scan reads (see the module docstring)."""
 
-    __slots__ = ("w_in", "w_hid", "bias", "hidden")
+    __slots__ = ("w_in", "w_hid", "bias")
 
     def __init__(self, w_in: Parameter, w_hid: Parameter, bias: Parameter):
         self.w_in = w_in
         self.w_hid = w_hid
         self.bias = bias
-        self.hidden = w_hid.data.shape[0]
-        if w_in.data.shape[1] != 3 * self.hidden or w_hid.data.shape[1] != 3 * self.hidden:
+        hid = w_hid.data.shape
+        n = hid[1] if len(hid) == 3 else -1
+        if hid != (2, n, 3 * n) or w_in.data.shape[1:] != (6 * n,) or bias.data.shape != (6 * n,):
             raise DimensionError(
-                f"GRU weights disagree: w_in {w_in.data.shape}, w_hid {w_hid.data.shape}"
+                f"BiGRU weights disagree: w_in {w_in.data.shape}, "
+                f"w_hid {w_hid.data.shape}, bias {bias.data.shape}"
             )
+
+    @property
+    def hidden(self) -> int:
+        return self.w_hid.data.shape[1]
 
     @property
     def input_size(self) -> int:
@@ -501,32 +470,17 @@ class GRUParams:
         return [self.w_in, self.w_hid, self.bias]
 
     @staticmethod
-    def create(rng: np.random.Generator, pid: str, input_size: int, hidden: int) -> "GRUParams":
-        w_in = Parameter(f"{pid}.w_in", glorot(rng, input_size, 3 * hidden))
-        w_hid = Parameter(f"{pid}.w_hid", glorot(rng, hidden, 3 * hidden))
-        bias = Parameter(f"{pid}.bias", np.zeros(3 * hidden))
-        return GRUParams(w_in, w_hid, bias)
-
-
-class BiGRUParams:
-    __slots__ = ("fwd", "bwd")
-
-    def __init__(self, fwd: GRUParams, bwd: GRUParams):
-        self.fwd = fwd
-        self.bwd = bwd
-
-    @property
-    def hidden(self) -> int:
-        return self.fwd.hidden
-
-    def parameters(self) -> list[Parameter]:
-        return self.fwd.parameters() + self.bwd.parameters()
-
-    @staticmethod
     def create(rng: np.random.Generator, pid: str, input_size: int, hidden: int) -> "BiGRUParams":
+        """Glorot weights and zero bias. The forward direction's w_in and
+        w_hid are drawn first, then the backward direction's."""
+        (w_f, u_f), (w_b, u_b) = [
+            (glorot(rng, input_size, 3 * hidden), glorot(rng, hidden, 3 * hidden))
+            for _ in range(2)
+        ]
         return BiGRUParams(
-            GRUParams.create(rng, f"{pid}.fwd", input_size, hidden),
-            GRUParams.create(rng, f"{pid}.bwd", input_size, hidden),
+            Parameter(f"{pid}.w_in", np.concatenate([w_f, w_b], axis=1)),
+            Parameter(f"{pid}.w_hid", np.stack([u_f, u_b])),
+            Parameter(f"{pid}.bias", np.zeros(6 * hidden)),
         )
 
 
@@ -542,46 +496,49 @@ def _reading_order(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def _per_direction(a: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """(T, D, B, k) -> (D, T*B, k), or (D, k, T*B) when transposed."""
+    """(T, 2, B, k) -> (2, T*B, k), or (2, k, T*B) when transposed."""
     flat = a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1, a.shape[-1])
     return np.swapaxes(flat, -1, -2) if transpose else flat
 
 
-def _gru_directions(
-    x: Tensor,
-    h0s: Sequence[Tensor | None],
-    dirs: Sequence[GRUParams],
-    mask: np.ndarray | None,
-) -> Tensor:
-    """Run D = len(dirs) GRU directions over axis 1 of
-    x (B, T, in) as a single fused tape node with output (B, T, D*hidden).
+def bigru(
+    sequence: Tensor,
+    h0_fwd: Tensor | None,
+    h0_bwd: Tensor | None,
+    params: BiGRUParams,
+    mask: np.ndarray | None = None,
+) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """Bidirectional GRU over a (B, T, in) batch of sequences.
 
-    Direction 0 reads x forward; direction 1 reads it backward: step t
-    of that scan consumes x[:, T-1-t] under the flipped mask. The
-    directions are stacked as (D, B, ·) and advance together, so one
-    time loop and one reverse sweep serve all of them; each step's
-    recurrence is batched over directions and gates. Output columns
-    [d*n:(d+1)*n] hold direction d's state at every position of x, in
-    the time order of x.
+    Returns the per-step states (B, T, 2*hidden), forward and backward
+    halves side by side in the time order of the sequence, and the pair
+    of final directional states, outputs[:, T-1, :hidden] and
+    outputs[:, 0, hidden:]. The backward direction reads the flipped
+    sequence under the flipped mask (step t consumes sequence[:, T-1-t]),
+    so with a padded batch its final state is the state after the first
+    real token.
 
-    The stacked weights are rebuilt from the live parameter arrays on
-    every call and again in backward, so in-place perturbation (finite
-    differences) is always seen.
+    The two directions are stacked as (2, B, ·) and advance together, so
+    one time loop and one reverse sweep serve both; each step's
+    recurrence is batched over directions and gates. The whole scan is
+    one tape node. It reads params.w_in and params.bias as they are and
+    params.w_hid through a gate-major view, all from the live parameter
+    arrays, so in-place perturbation (finite differences) is always
+    seen; each gradient comes back in its parameter's own layout.
     """
+    x = sequence
     tape = x.tape
     if x.ndim != 3:
         raise DimensionError(f"bigru expects (B, T, in), got {x.data.shape}")
     batch, steps, width = x.data.shape
     if steps < 1:
         raise ContractViolation("bigru requires at least one step")
-    n = dirs[0].hidden
-    for p in dirs:
-        if width != p.input_size:
-            raise DimensionError(
-                f"bigru input width {x.data.shape} does not match weights {p.w_in.data.shape}"
-            )
-        if p.hidden != n:
-            raise DimensionError(f"bigru directions disagree on hidden size: {p.hidden} vs {n}")
+    n = params.hidden
+    if width != params.input_size:
+        raise DimensionError(
+            f"bigru input width {x.data.shape} does not match weights {params.w_in.data.shape}"
+        )
+    h0s = (h0_fwd, h0_bwd)
     for h0 in h0s:
         if h0 is not None and h0.data.shape != (batch, n):
             raise DimensionError(f"bigru h0 shape {h0.data.shape}, expected {(batch, n)}")
@@ -590,36 +547,28 @@ def _gru_directions(
         if mask.shape != (batch, steps):
             raise DimensionError(f"bigru mask shape {mask.shape}, expected {(batch, steps)}")
 
-    D = len(dirs)
-    leaves = [(tape.watch(p.w_in), tape.watch(p.w_hid), tape.watch(p.bias)) for p in dirs]
-
-    def stacked() -> tuple[np.ndarray, np.ndarray]:
-        """Input weights side by side (in, D*3n), and hidden weights as
-        (3, D, n, n) blocks, [g, d] being gate g's block of direction d;
-        both rebuilt from the live parameter arrays."""
-        w_in = np.concatenate([w.data for w, _, _ in leaves], axis=1)
-        u = np.concatenate([w.data for _, w, _ in leaves]).reshape(D, n, 3, n)
-        return w_in, u.transpose(2, 0, 1, 3)
-
-    w_in, u = stacked()
-    bias = np.concatenate([b.data for _, _, b in leaves])
-    proj = (x.data.reshape(batch * steps, width) @ w_in + bias).reshape(batch, steps, D, 3, n)
+    w_in, w_hid, bias = (tape.watch(p) for p in params.parameters())
+    # u[g, d] is gate g's (n, n) block of direction d.
+    u = w_hid.data.reshape(2, n, 3, n).transpose(2, 0, 1, 3)
+    proj = (x.data.reshape(batch * steps, width) @ w_in.data + bias.data).reshape(
+        batch, steps, 2, 3, n
+    )
     if mask is not None:
-        # A padded position shuts the update gate in every direction:
+        # A padded position shuts the update gate in both directions:
         # tanh(-inf) = -1 below gives z = 0 exactly, so h[t] = h[t-1] and
         # no gradient reaches the position's input.
         proj[:, :, :, 0][mask == 0.0] = -np.inf
     # Gate-major and in reading order, so that every per-step operand is
     # contiguous: xg[t, g, d] is gate g's input to direction d at step t.
-    xg = np.empty((steps, 3, D, batch, n))
-    for d in range(D):
+    xg = np.empty((steps, 3, 2, batch, n))
+    for d in range(2):
         xg[:, :, d] = _reading_order(proj[:, :, d], d).transpose(1, 2, 0, 3)
     # states[0] holds the initial states and states[t + 1] the states
     # after step t, so the reverse sweep reads each step's previous state
     # as the view states[:-1].
-    states = np.empty((steps + 1, D, batch, n))
-    for d, h in enumerate(h0s):
-        states[0, d] = 0.0 if h is None else h.data
+    states = np.empty((steps + 1, 2, batch, n))
+    for d, h0 in enumerate(h0s):
+        states[0, d] = 0.0 if h0 is None else h0.data
 
     # sigmoid(a) = (1 + tanh(a/2)) / 2 and halving is exact, so the z and
     # r pre-activations are formed at half scale and cost one tanh.
@@ -627,8 +576,8 @@ def _gru_directions(
     x_zr *= 0.5
     u_zr = 0.5 * u[:2]
     u_c = u[2]
-    zrs = np.empty((steps, 2, D, batch, n))
-    cs = np.empty((steps, D, batch, n))
+    zrs = np.empty((steps, 2, 2, batch, n))
+    cs = np.empty((steps, 2, batch, n))
     h = states[0]
     for t in range(steps):
         zr = zrs[t]
@@ -643,19 +592,18 @@ def _gru_directions(
         np.tanh(c, out=c)
         h = np.add(h, zr[0] * (c - h), out=states[t + 1])
 
-    out_data = np.empty((batch, steps, D * n))
-    for d in range(D):
+    out_data = np.empty((batch, steps, 2 * n))
+    for d in range(2):
         out_data[:, :, d * n : (d + 1) * n] = _reading_order(states[1:, d].transpose(1, 0, 2), d)
 
     def bwd(out):
-        w_in, u = stacked()
         u_t = np.swapaxes(u, -1, -2)
-        g = np.empty((steps, D, batch, n))
-        for d in range(D):
+        g = np.empty((steps, 2, batch, n))
+        for d in range(2):
             g[:, d] = _reading_order(out.grad[:, :, d * n : (d + 1) * n], d).transpose(1, 0, 2)
         h_prevs = states[:-1]
-        d_xg = np.empty((steps, 3, D, batch, n))  # gradient of the gate pre-activations
-        dh = np.zeros((D, batch, n))
+        d_xg = np.empty((steps, 3, 2, batch, n))  # gradient of the gate pre-activations
+        dh = np.zeros((2, batch, n))
         for t in range(steps - 1, -1, -1):
             h_prev = h_prevs[t]
             z, r = zrs[t, 0], zrs[t, 1]
@@ -670,62 +618,33 @@ def _gru_directions(
             dh_zr = d_xg[t, :2] @ u_t[:2]
             dh = dht - dht_z + drh * r + dh_zr[0] + dh_zr[1]
 
-        if any(w.needs_grad for _, w, _ in leaves):
+        if w_hid.needs_grad:
             h_t = _per_direction(h_prevs, True)
-            d_u = np.concatenate(
-                [
-                    h_t @ _per_direction(d_xg[:, 0]),
-                    h_t @ _per_direction(d_xg[:, 1]),
-                    _per_direction(zrs[:, 1] * h_prevs, True) @ _per_direction(d_xg[:, 2]),
-                ],
-                axis=-1,
-            )
+            d_u = [
+                h_t @ _per_direction(d_xg[:, 0]),
+                h_t @ _per_direction(d_xg[:, 1]),
+                _per_direction(zrs[:, 1] * h_prevs, True) @ _per_direction(d_xg[:, 2]),
+            ]
+            _acc(w_hid, np.concatenate(d_u, axis=-1))
         # d_proj: gradient of the projected inputs in x's time order, laid
         # out like the columns of w_in.
-        d_proj = np.empty((batch, steps, D, 3, n))
-        for d in range(D):
+        d_proj = np.empty((batch, steps, 2, 3, n))
+        for d in range(2):
             d_proj[:, :, d] = _reading_order(d_xg[:, :, d].transpose(2, 0, 1, 3), d)
-        d_proj = d_proj.reshape(batch * steps, D * 3 * n)
-        x_flat = x.data.reshape(batch * steps, width)
-        d_w_in = x_flat.T @ d_proj if any(w.needs_grad for w, _, _ in leaves) else None
-        d_bias = d_proj.sum(axis=0)
-        for d, (w, w_h, b) in enumerate(leaves):
-            cols = slice(d * 3 * n, (d + 1) * 3 * n)
-            if w.needs_grad:
-                _acc(w, d_w_in[:, cols])
-            if w_h.needs_grad:
-                _acc(w_h, d_u[d])
-            _acc(b, d_bias[cols])
-            if h0s[d] is not None:
-                _acc(h0s[d], dh[d])
+        d_proj = d_proj.reshape(batch * steps, 6 * n)
+        if w_in.needs_grad:
+            _acc(w_in, x.data.reshape(batch * steps, width).T @ d_proj)
+        _acc(bias, d_proj.sum(axis=0))
+        for h0, dh0 in zip(h0s, dh):
+            if h0 is not None:
+                _acc(h0, dh0)
         if x.needs_grad:
-            _acc(x, (d_proj @ w_in.T).reshape(batch, steps, width))
+            _acc(x, (d_proj @ w_in.data.T).reshape(batch, steps, width))
 
-    parents = (x, *(h for h in h0s if h is not None), *(leaf for trio in leaves for leaf in trio))
-    return tape._node(out_data, parents, bwd, "bigru")
-
-
-def bigru(
-    sequence: Tensor,
-    h0_fwd: Tensor | None,
-    h0_bwd: Tensor | None,
-    params: BiGRUParams,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """Bidirectional GRU over a (B, T, in) batch of sequences.
-
-    Both directions run stacked in one fused scan recorded as a single
-    tape node, whose output holds the per-step states (forward and
-    backward halves side by side, width 2*hidden). Returns that output
-    and the pair of final directional states, outputs[:, T-1, :hidden]
-    and outputs[:, 0, hidden:]. The backward direction reads the
-    flipped sequence under the flipped mask, so with a padded batch its
-    final state is the state after the first real token.
-    """
-    outputs = _gru_directions(sequence, (h0_fwd, h0_bwd), (params.fwd, params.bwd), mask)
-    n = params.hidden
-    final_f = outputs.tape.select(outputs, (slice(None), -1, slice(0, n)))
-    final_b = outputs.tape.select(outputs, (slice(None), 0, slice(n, 2 * n)))
+    parents = (x, *(h0 for h0 in h0s if h0 is not None), w_in, w_hid, bias)
+    outputs = tape._node(out_data, parents, bwd, "bigru")
+    final_f = tape.select(outputs, (slice(None), -1, slice(0, n)))
+    final_b = tape.select(outputs, (slice(None), 0, slice(n, 2 * n)))
     return outputs, (final_f, final_b)
 
 
@@ -767,7 +686,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise ParseError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint format version {version}")
+        raise ParseError(
+            f"{path}: unsupported checkpoint format version {version} "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
     off = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -16,6 +16,7 @@ contract violation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -363,19 +364,10 @@ def cmd_gradcheck(args) -> int:
                     candidates=3, seed=cfg["seed"])
     )
     vocab = build_vocab([DatasetSplit("train", samples)])
-    reader_cfg = reader_from_config(cfg)
-    tiny = ReaderConfig(
-        hops=reader_cfg.hops,
-        hidden=8,
-        query_gating=reader_cfg.query_gating,
-        dependent_query=reader_cfg.dependent_query,
-        carry_query_state=reader_cfg.carry_query_state,
-        qe_comm=reader_cfg.qe_comm,
-    ).validate()
     model = Model(
         vocab,
         EmbedConfig(word_dim=3, char_dim=3, char_hidden=4, char_out=6),
-        tiny,
+        dataclasses.replace(reader_from_config(cfg), hidden=8),
         np.random.default_rng([cfg["seed"], 5]),
     )
     batch = assemble_batch(samples, vocab)

@@ -3,8 +3,8 @@ character-level composition.
 
 The word table is never updated during training; rows for tokens
 missing from the vector file (and the unknown row) are seeded random,
-and the padding row is zero. The character side runs a forward and a
-backward GRU over the token's characters, concatenates the two final
+and the padding row is zero. The character side runs a bidirectional
+GRU over the token's characters, concatenates the two final
 states and applies a linear map; those parameters do train.
 
 A character feature depends only on the token's surface form, so a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import BiGRUParams, GRUParams, Parameter, Tape, Tensor, bigru, glorot
+from .autodiff import BiGRUParams, Parameter, Tape, Tensor, bigru, glorot
 from .corpus import PAD_ID, Vocabulary
 from .errors import ContractViolation, DimensionError, ParseError
 
@@ -92,27 +92,26 @@ def load_pretrained_vectors(
 
 
 class CharEmbedder:
-    """Composes a token vector from its characters with two directional
-    GRUs and a linear projection."""
+    """Composes a token vector from its characters with a bidirectional
+    GRU and a linear projection."""
 
     def __init__(self, rng: np.random.Generator, char_vocab_size: int, cfg: EmbedConfig):
         self.cfg = cfg
         table = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(char_vocab_size, cfg.char_dim))
         table[PAD_ID] = 0.0
         self.table = Parameter("embed.char.table", table)
-        self.fwd = GRUParams.create(rng, "embed.char.fwd", cfg.char_dim, cfg.char_hidden)
-        self.bwd = GRUParams.create(rng, "embed.char.bwd", cfg.char_dim, cfg.char_hidden)
+        self.gru = BiGRUParams.create(rng, "embed.char", cfg.char_dim, cfg.char_hidden)
         self.proj_w = Parameter("embed.char.proj_w", glorot(rng, 2 * cfg.char_hidden, cfg.char_out))
         self.proj_b = Parameter("embed.char.proj_b", np.zeros(cfg.char_out))
 
     def parameters(self) -> list[Parameter]:
-        return [self.table, *self.fwd.parameters(), *self.bwd.parameters(), self.proj_w, self.proj_b]
+        return [self.table, *self.gru.parameters(), self.proj_w, self.proj_b]
 
     def embed_ids(self, tape: Tape, char_ids: np.ndarray, char_mask: np.ndarray) -> Tensor:
         """(N, L) character ids with a 0/1 length mask -> (N, char_out).
 
         Each row is one token's characters; a batch passes its table of
-        distinct types. Both directional GRUs run as one stacked bigru
+        distinct types. Both GRU directions run as one stacked bigru
         scan (a single tape node); the projection reads the forward
         state after the last character and the backward state after the
         first. A row whose mask is entirely zero comes out as the
@@ -123,7 +122,7 @@ class CharEmbedder:
             raise DimensionError(f"char id matrix must be (N, L), got {char_ids.shape}")
         table = tape.watch(self.table)
         emb = tape.gather_rows(table, char_ids)  # (N, L, char_dim)
-        _, finals = bigru(emb, None, None, BiGRUParams(self.fwd, self.bwd), char_mask)
+        _, finals = bigru(emb, None, None, self.gru, char_mask)
         both = tape.concat_last(finals)
         return tape.add(tape.matmul(both, tape.watch(self.proj_w)), tape.watch(self.proj_b))
 

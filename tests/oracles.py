@@ -14,16 +14,18 @@ position in ascending order. They are the reference for the batched
 
 import numpy as np
 
-from dgreader.autodiff import GRUParams, Tape, Tensor
+from dgreader.autodiff import BiGRUParams, Tape, Tensor
 from dgreader.corpus import PAD_ID
 from dgreader.embed import TokenEmbedder, char_id_matrix
 from dgreader.errors import ContractViolation, DimensionError
 from dgreader.ranker import CandidateOccurrences, PredictionDistribution, find_occurrences, predict
 
 
-def gru_cell(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
-    """One GRU step composed from primitive ops. Accepts (in,) / (h,) or
-    batched (B, in) / (B, h) operands."""
+def gru_cell(x: Tensor, h: Tensor, params: BiGRUParams, d: int) -> Tensor:
+    """One GRU step of direction d (0 forward, 1 backward) composed from
+    primitive ops. Accepts (in,) / (h,) or batched (B, in) / (B, h)
+    operands. The direction's weights are selected from the watched
+    stacked parameters, so gradients reach the real parameters."""
     tape = x.tape
     n = params.hidden
     squeeze = x.ndim == 1
@@ -39,23 +41,23 @@ def gru_cell(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
         raise DimensionError(
             f"gru_cell state width {h.data.shape} does not match hidden size {n}"
         )
-    w_in = tape.watch(params.w_in)
-    w_hid = tape.watch(params.w_hid)
-    bias = tape.watch(params.bias)
+    cols = slice(3 * n * d, 3 * n * (d + 1))
+    w_in = tape.select(tape.watch(params.w_in), (slice(None), cols))
+    w_hid = tape.select(tape.watch(params.w_hid), (d,))
+    bias = tape.select(tape.watch(params.bias), (cols,))
+
+    def last(a, lo, hi):
+        return tape.select(a, (..., slice(lo, hi)))
+
     gx = tape.add(tape.matmul(x, w_in), bias)
-    zr = tape.sigmoid(
-        tape.add(tape.slice_last(gx, 0, 2 * n), tape.matmul(h, tape.slice_last(w_hid, 0, 2 * n)))
-    )
-    z = tape.slice_last(zr, 0, n)
-    r = tape.slice_last(zr, n, 2 * n)
+    zr = tape.sigmoid(tape.add(last(gx, 0, 2 * n), tape.matmul(h, last(w_hid, 0, 2 * n))))
+    z = last(zr, 0, n)
+    r = last(zr, n, 2 * n)
     cand = tape.tanh(
-        tape.add(
-            tape.slice_last(gx, 2 * n, 3 * n),
-            tape.matmul(tape.mul(r, h), tape.slice_last(w_hid, 2 * n, 3 * n)),
-        )
+        tape.add(last(gx, 2 * n, 3 * n), tape.matmul(tape.mul(r, h), last(w_hid, 2 * n, 3 * n)))
     )
-    one = tape.constant(1.0)
-    out = tape.add(tape.mul(tape.sub(one, z), h), tape.mul(z, cand))
+    keep = tape.add(tape.constant(1.0), tape.neg(z))
+    out = tape.add(tape.mul(keep, h), tape.mul(z, cand))
     if squeeze:
         out = tape.reshape(out, (n,))
     return out

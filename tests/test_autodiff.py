@@ -10,7 +10,6 @@ import pytest
 
 from dgreader.autodiff import (
     BiGRUParams,
-    GRUParams,
     Parameter,
     Tape,
     backward,
@@ -46,11 +45,21 @@ def scalar_gru_step(x, h, w_in, w_hid, b):
     return [(1.0 - z[k]) * h[k] + z[k] * c[k] for k in range(n)]
 
 
-def make_gru(rng, pid, input_size, hidden):
-    return GRUParams(
-        Parameter(f"{pid}.w_in", rng.normal(0, 0.4, (input_size, 3 * hidden))),
-        Parameter(f"{pid}.w_hid", rng.normal(0, 0.4, (hidden, 3 * hidden))),
-        Parameter(f"{pid}.bias", rng.normal(0, 0.2, 3 * hidden)),
+def make_bigru(rng, input_size, hidden):
+    """Random BiGRU weights, drawn per direction (w_in, w_hid, bias),
+    forward first, then stacked."""
+    draws = [
+        (
+            rng.normal(0, 0.4, (input_size, 3 * hidden)),
+            rng.normal(0, 0.4, (hidden, 3 * hidden)),
+            rng.normal(0, 0.2, 3 * hidden),
+        )
+        for _ in range(2)
+    ]
+    return BiGRUParams(
+        Parameter("g.w_in", np.concatenate([w for w, _, _ in draws], axis=1)),
+        Parameter("g.w_hid", np.stack([u for _, u, _ in draws])),
+        Parameter("g.bias", np.concatenate([b for _, _, b in draws])),
     )
 
 
@@ -59,8 +68,8 @@ class TestPrimitivesForward:
         tape = Tape()
         a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
         b = tape.constant([[10.0, 20.0], [30.0, 40.0]])
-        np.testing.assert_array_equal((a + b).data, [[11.0, 22.0], [33.0, 44.0]])
-        np.testing.assert_array_equal((a * b).data, [[10.0, 40.0], [90.0, 160.0]])
+        np.testing.assert_array_equal(tape.add(a, b).data, [[11.0, 22.0], [33.0, 44.0]])
+        np.testing.assert_array_equal(tape.mul(a, b).data, [[10.0, 40.0], [90.0, 160.0]])
 
     def test_matmul_known_values(self):
         tape = Tape()
@@ -81,8 +90,8 @@ class TestPrimitivesForward:
         a = tape.constant(rng.normal(size=(3, 2)))
         b = tape.constant(rng.normal(size=(3, 5)))
         cat = tape.concat_last([a, b])
-        np.testing.assert_array_equal(tape.slice_last(cat, 0, 2).data, a.data)
-        np.testing.assert_array_equal(tape.slice_last(cat, 2, 7).data, b.data)
+        np.testing.assert_array_equal(tape.select(cat, (..., slice(0, 2))).data, a.data)
+        np.testing.assert_array_equal(tape.select(cat, (..., slice(2, 7))).data, b.data)
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(7)
@@ -205,8 +214,8 @@ class TestBackward:
             x = tape.matmul(tape.watch(a), tape.watch(b))
             x = tape.add(x, tape.watch(c))
             x = tape.masked_softmax(tape.tanh(x), mask)
-            top = tape.slice_last(x, 0, 2)
-            rest = tape.slice_last(x, 2, 5)
+            top = tape.select(x, (..., slice(0, 2)))
+            rest = tape.select(x, (..., slice(2, 5)))
             y = tape.concat_last([tape.sigmoid(top), rest])
             y = tape.div(y, tape.add(tape.sum_last(y), tape.constant(0.5)))
             loss = tape.mean_all(tape.mul(y, y))
@@ -240,60 +249,64 @@ class TestGRUCell:
     def test_zero_weights_halve_state(self):
         # All-zero weights: z = r = 0.5, candidate = 0, so h' = h / 2.
         tape = Tape()
-        params = GRUParams(
-            Parameter("g.w_in", np.zeros((3, 6))),
-            Parameter("g.w_hid", np.zeros((2, 6))),
-            Parameter("g.bias", np.zeros(6)),
+        params = BiGRUParams(
+            Parameter("g.w_in", np.zeros((3, 12))),
+            Parameter("g.w_hid", np.zeros((2, 2, 6))),
+            Parameter("g.bias", np.zeros(12)),
         )
         x = tape.constant([1.0, -1.0, 2.0])
         h = tape.constant([2.0, -4.0])
-        out = gru_cell(x, h, params)
-        np.testing.assert_allclose(out.data, [1.0, -2.0], atol=1e-15)
+        for d in range(2):
+            out = gru_cell(x, h, params, d)
+            np.testing.assert_allclose(out.data, [1.0, -2.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_oracle(self, seed):
         rng = np.random.default_rng(200 + seed)
-        params = make_gru(rng, "g", 3, 4)
+        params = make_bigru(rng, 3, 4)
         x = rng.normal(size=3)
         h = rng.normal(size=4)
         tape = Tape()
-        out = gru_cell(tape.constant(x), tape.constant(h), params)
-        expected = scalar_gru_step(
-            x.tolist(), h.tolist(), params.w_in.data.tolist(), params.w_hid.data.tolist(),
-            params.bias.data.tolist(),
-        )
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        for d in range(2):
+            out = gru_cell(tape.constant(x), tape.constant(h), params, d)
+            cols = slice(12 * d, 12 * (d + 1))
+            expected = scalar_gru_step(
+                x.tolist(), h.tolist(), params.w_in.data[:, cols].tolist(),
+                params.w_hid.data[d].tolist(), params.bias.data[cols].tolist(),
+            )
+            np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_input_width_mismatch_rejected(self):
         rng = np.random.default_rng(5)
-        params = make_gru(rng, "g", 3, 4)
+        params = make_bigru(rng, 3, 4)
         tape = Tape()
         with pytest.raises(DimensionError):
-            gru_cell(tape.constant(np.zeros(5)), tape.constant(np.zeros(4)), params)
+            gru_cell(tape.constant(np.zeros(5)), tape.constant(np.zeros(4)), params, 0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
-        params = make_gru(rng, "g", 3, 2)
+        params = make_bigru(rng, 3, 2)
         x = rng.normal(size=(2, 3))
         h = rng.normal(size=(2, 2))
 
-        def run():
+        def run(d):
             tape = Tape()
-            out = gru_cell(tape.constant(x), tape.constant(h), params)
+            out = gru_cell(tape.constant(x), tape.constant(h), params, d)
             loss = tape.sum_all(tape.mul(out, out))
             return tape, loss
 
-        tape, loss = run()
-        grads = backward(tape, loss)
-        report = check_gradients(lambda: run()[1].data.item(), params.parameters(), grads)
-        assert report.passed, report.summary()
+        for d in range(2):
+            tape, loss = run(d)
+            grads = backward(tape, loss)
+            report = check_gradients(lambda: run(d)[1].data.item(), params.parameters(), grads)
+            assert report.passed, report.summary()
 
 
 class TestBiGRU:
     def test_matches_unrolled_cell_chains(self):
         rng = np.random.default_rng(31)
         steps, width, hidden = 3, 4, 3
-        params = BiGRUParams(make_gru(rng, "f", width, hidden), make_gru(rng, "b", width, hidden))
+        params = make_bigru(rng, width, hidden)
         x = rng.normal(size=(1, steps, width))
         h0f = rng.normal(size=(1, hidden))
         h0b = rng.normal(size=(1, hidden))
@@ -307,12 +320,12 @@ class TestBiGRU:
         h = chain.constant(h0f)
         fwd = []
         for t in range(steps):
-            h = gru_cell(chain.constant(x[:, t]), h, params.fwd)
+            h = gru_cell(chain.constant(x[:, t]), h, params, 0)
             fwd.append(h.data)
         h = chain.constant(h0b)
         rev = {}
         for t in reversed(range(steps)):
-            h = gru_cell(chain.constant(x[:, t]), h, params.bwd)
+            h = gru_cell(chain.constant(x[:, t]), h, params, 1)
             rev[t] = h.data
         expected = np.concatenate(
             [np.stack(fwd, axis=1), np.stack([rev[t] for t in range(steps)], axis=1)], axis=-1
@@ -322,9 +335,18 @@ class TestBiGRU:
         np.testing.assert_allclose(ff.data, fwd[-1], atol=1e-13)
         np.testing.assert_allclose(fb.data, rev[0], atol=1e-13)
 
+    def test_inconsistent_weight_shapes_rejected(self):
+        # w_hid says hidden 2 (3n = 6), w_in has one direction's columns only
+        with pytest.raises(DimensionError, match=r"\(3, 6\).*\(2, 2, 6\).*\(12,\)"):
+            BiGRUParams(
+                Parameter("g.w_in", np.zeros((3, 6))),
+                Parameter("g.w_hid", np.zeros((2, 2, 6))),
+                Parameter("g.bias", np.zeros(12)),
+            )
+
     def test_final_states_with_padding_ignore_padded_tail(self):
         rng = np.random.default_rng(32)
-        params = BiGRUParams(make_gru(rng, "f", 3, 2), make_gru(rng, "b", 3, 2))
+        params = make_bigru(rng, 3, 2)
         x = rng.normal(size=(1, 3, 3))
         padded = np.concatenate([x, rng.normal(size=(1, 2, 3))], axis=1)
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
@@ -343,7 +365,7 @@ class TestBiGRU:
     def padded_case(self, seed):
         rng = np.random.default_rng(seed)
         steps, width, hidden = max(self.PADDED_LENGTHS), 3, 2
-        params = BiGRUParams(make_gru(rng, "f", width, hidden), make_gru(rng, "b", width, hidden))
+        params = make_bigru(rng, width, hidden)
         x = rng.normal(size=(2, steps, width))
         h0f = rng.normal(size=(2, hidden))
         h0b = rng.normal(size=(2, hidden))
@@ -368,12 +390,12 @@ class TestBiGRU:
             h = chain.constant(h0f[b : b + 1])
             for t in range(steps):
                 if t < length:
-                    h = gru_cell(chain.constant(x[b, t : t + 1]), h, params.fwd)
+                    h = gru_cell(chain.constant(x[b, t : t + 1]), h, params, 0)
                 expected[b, t, :hidden] = h.data[0]
             h = chain.constant(h0b[b : b + 1])
             for t in reversed(range(steps)):
                 if t < length:
-                    h = gru_cell(chain.constant(x[b, t : t + 1]), h, params.bwd)
+                    h = gru_cell(chain.constant(x[b, t : t + 1]), h, params, 1)
                 expected[b, t, hidden:] = h.data[0]
         np.testing.assert_allclose(outputs.data, expected, atol=1e-13)
         np.testing.assert_allclose(ff.data, expected[:, -1, :hidden], atol=1e-13)
@@ -400,7 +422,7 @@ class TestBiGRU:
         grads = backward(tape, loss)
         report = check_gradients(lambda: run()[1].data.item(), checked, grads)
         assert report.passed, report.summary()
-        assert len(report.per_param) == 9
+        assert len(report.per_param) == 6
 
 
 class TestDropout:
@@ -523,5 +545,5 @@ class TestTapeLifetime:
         with pytest.raises(ContractViolation, match=r"op 'neg' with shape \(\) outlived its tape"):
             backward(loss.tape, loss)
         with pytest.raises(ContractViolation, match="outlived its tape"):
-            loss * 2.0
+            loss.tape.mul(loss, loss)
         assert np.isfinite(loss.data)

@@ -2,11 +2,14 @@
 code mapping, and the train-then-eval reproducibility contract."""
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from dgreader import cli
+from dgreader.autodiff import load_checkpoint
+from dgreader.errors import ParseError
 from dgreader.gradcheck import GradCheckReport
 
 DATA = Path(__file__).parent / "data"
@@ -275,6 +278,24 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_version_one_checkpoint_maps_to_two(self, tmp_path, trained, corpus, capsys):
+        # same archive, format version 1: parameter ids and shapes differ
+        # between the versions, so it is refused before any restore
+        old = tmp_path / "v1.ckpt"
+        blob = bytearray((trained / "model.ckpt").read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        old.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="version 1"):
+            load_checkpoint(old)
+        code = cli.main([
+            "eval", "--config", str(trained / "config.txt"),
+            "--checkpoint", str(old),
+            "--vocab", str(trained / "vocab.txt"),
+            "--data", str(corpus),
+        ])
+        assert code == 2
+        assert "version 1" in capsys.readouterr().err
 
     def test_unknown_set_key_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--set", "nope=1"]) == 1

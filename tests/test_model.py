@@ -300,7 +300,7 @@ class TestTypeTable:
         out = model.forward_batch(batch)
         grads = backward(out.tape, out.loss)
         params = [p for p in model.parameters() if p.id.startswith("embed.char.")]
-        assert len(params) == 9
+        assert len(params) == 6
         report = check_gradients(loss_fn, params, grads)
         assert report.passed, report.summary()
 

@@ -87,9 +87,9 @@ class TestReaderConfig:
     def test_qe_comm_widens_final_document_reader_only(self):
         rng = np.random.default_rng(1)
         cfg, params = tiny_setup(rng, hops=2, hidden=8, dim=5, qe=True)
-        assert params.doc_readers[0].fwd.input_size == 5
-        assert params.doc_readers[1].fwd.input_size == 8
-        assert params.doc_readers[2].fwd.input_size == 9
+        assert params.doc_readers[0].input_size == 5
+        assert params.doc_readers[1].input_size == 8
+        assert params.doc_readers[2].input_size == 9
 
 
 class TestEnergyAndGate:
@@ -312,8 +312,8 @@ class TestEncodeFull:
         doc, qry = random_embeddings(rng, 1, 5, 3, 5)
         tape = Tape()
         doc_enc, qry_enc, _ = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
-        loss = tape.sum_all(tape.mul(doc_enc, doc_enc)) + tape.sum_all(
-            tape.mul(qry_enc, qry_enc)
+        loss = tape.add(
+            tape.sum_all(tape.mul(doc_enc, doc_enc)), tape.sum_all(tape.mul(qry_enc, qry_enc))
         )
         grads = backward(tape, loss)
         for p in params.parameters():

@@ -18,7 +18,7 @@ PACKAGE = Path(dgreader.__file__).parent
 # Unreferenced in src/ on purpose: the Tape primitives that the
 # gru_cell oracle and the op tests are built from, and the constructor
 # the benchmark builds its reader configurations with.
-ALLOWED = {"Tape.sigmoid", "Tape.slice_last", "Tape.sum_all", "ReaderConfig.from_preset"}
+ALLOWED = {"Tape.sigmoid", "Tape.sum_all", "ReaderConfig.from_preset"}
 
 
 def names_in(node: ast.AST) -> Counter:
