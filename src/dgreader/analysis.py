@@ -1,4 +1,4 @@
-"""Post-hoc analysis over prediction dumps and attention traces:
+"""Post-hoc analysis over prediction dumps and attention energies:
 accuracy bucketed by sequence length, per-hop candidate-over-query
 attention exports (JSON and a static SVG heat map), and an exact
 one-sided McNemar test for comparing two prediction files.
@@ -16,7 +16,6 @@ import numpy as np
 from .corpus import ClozeSample
 from .errors import ConfigError, ContractViolation
 from .ranker import find_occurrences
-from .reader import AttentionTrace
 
 LENGTH_AXES = ("document", "query")
 
@@ -101,24 +100,25 @@ def _minmax(matrix: np.ndarray) -> np.ndarray:
 
 
 def export_attention(
-    trace: AttentionTrace,
+    energies: list[np.ndarray],
     sample: ClozeSample,
 ) -> AttentionExport:
-    """Aggregate each hop's energy rows over candidate occurrences and
-    min-max normalize per hop. The last hop also contributes the
-    (normalized) placeholder column restricted to candidates.
+    """Aggregate each hop's energy rows (sample 0 of its (B, n, m)
+    matrix) over candidate occurrences and min-max normalize per hop.
+    The last hop also contributes the (normalized) placeholder column
+    restricted to candidates.
 
     A hop whose aggregated matrix is constant exports all zeros.
     """
-    if not trace.energies:
-        raise ContractViolation("trace carries no attention rounds")
+    if not energies:
+        raise ContractViolation("energies carry no attention rounds")
     occurrences = find_occurrences(sample.document, sample.candidates)
     layers = []
-    for energies in trace.energies:
-        e = energies[0] if energies.ndim == 3 else energies
+    for batch_e in energies:
+        e = batch_e[0]
         if e.shape[0] < len(sample.document) or e.shape[1] < len(sample.query):
             raise ContractViolation(
-                f"trace shape {e.shape} smaller than sample "
+                f"energies shape {e.shape} smaller than sample "
                 f"({len(sample.document)}, {len(sample.query)})"
             )
         e = e[: len(sample.document), : len(sample.query)]

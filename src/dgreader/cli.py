@@ -410,8 +410,8 @@ def cmd_analyze_attention(args) -> int:
     if not 0 <= args.index < len(samples):
         raise ConfigError(f"--index {args.index} outside the split (size {len(samples)})")
     sample = samples[args.index]
-    _, _, trace = model.encode_sample(sample)
-    export = export_attention(trace, sample)
+    _, _, energies = model.encode_sample(sample)
+    export = export_attention(energies, sample)
     out = _out_dir(args)
     write_snapshot(cfg, out)
     stem = out / f"attention_{args.index}"

@@ -23,7 +23,7 @@ from .corpus import ClozeSample, Vocabulary
 from .embed import EmbedConfig, TokenEmbedder, char_id_matrix
 from .errors import ContractViolation, NumericalError
 from .ranker import PredictionDistribution, find_occurrences, predict
-from .reader import AttentionTrace, ReaderConfig, ReaderParams, encode_full, qe_comm_features
+from .reader import ReaderConfig, ReaderParams, encode_full, qe_comm_features
 
 
 @dataclass
@@ -41,10 +41,6 @@ class Batch:
     answer_idx: np.ndarray  # (B,) row into the candidate list, -1 if unlabeled
     qe: np.ndarray  # (B, n) query-occurrence feature
     samples: list[ClozeSample]
-
-    @property
-    def size(self) -> int:
-        return len(self.samples)
 
 
 def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
@@ -100,10 +96,11 @@ class ForwardResult:
     """One forward's outputs. cand_probs is the pointer sum that ranks
     candidates: row b holds sample b's candidate distribution in the
     order of its candidate list, zero-padded to g_max; predict_batch
-    reads it as is. The result holds its tape, and tensors refer to
-    their tape only weakly, so the graph and every activation saved for
-    backward live exactly as long as the result (or the tape) is
-    held."""
+    reads it as is. energies holds each hop's document-by-query energy
+    matrix (B, n, m) as a plain array, for attention analysis. The
+    result holds its tape, and tensors refer to their tape only weakly,
+    so the graph and every activation saved for backward live exactly
+    as long as the result (or the tape) is held."""
 
     tape: Tape
     loss: Tensor | None
@@ -111,7 +108,7 @@ class ForwardResult:
     cand_probs: Tensor  # (B, g_max)
     doc_enc: Tensor  # (B, n, hidden)
     qry_enc: Tensor  # (B, m, hidden)
-    trace: AttentionTrace
+    energies: list[np.ndarray]  # per hop, (B, n, m)
 
 
 class Model:
@@ -151,7 +148,7 @@ class Model:
         qry = tape.dropout(qry, dropout, rng, train)
 
         qe = batch.qe if self.reader_cfg.qe_comm else None
-        doc_enc, qry_enc, trace = encode_full(
+        doc_enc, qry_enc, energies = encode_full(
             doc, qry, self.reader_cfg, self.reader_params,
             batch.doc_mask, batch.qry_mask, qe, drop,
         )
@@ -177,7 +174,7 @@ class Model:
             onehot[np.arange(size), batch.answer_idx] = 1.0
             picked = tape.sum_last(tape.mul(cand_probs, tape.constant(onehot)), keepdims=False)
             loss = tape.neg(tape.mean_all(tape.log(picked)))
-        return ForwardResult(tape, loss, token_probs, cand_probs, doc_enc, qry_enc, trace)
+        return ForwardResult(tape, loss, token_probs, cand_probs, doc_enc, qry_enc, energies)
 
     def predict_batch(self, result: ForwardResult, batch: Batch) -> list[PredictionDistribution]:
         """Per-sample distributions read from the forward's cand_probs,
@@ -197,13 +194,15 @@ class Model:
             out.append(PredictionDistribution(probs, predict(probs)))
         return out
 
-    def encode_sample(self, sample: ClozeSample) -> tuple[np.ndarray, np.ndarray, AttentionTrace]:
-        """Final encodings (n, r) / (m, r) and attention trace for one
-        sample, unpadded."""
+    def encode_sample(
+        self, sample: ClozeSample
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Final encodings (n, r) / (m, r) and the per-hop energy
+        matrices (1, n, m) for one sample, unpadded."""
         batch = assemble_batch([sample], self.vocab)
         result = self.forward_batch(batch)
         return (
             np.array(result.doc_enc.data[0]),
             np.array(result.qry_enc.data[0]),
-            result.trace,
+            result.energies,
         )

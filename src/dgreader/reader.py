@@ -1,16 +1,19 @@
 """Multi-hop gated-attention reading with dependent query reading.
 
-One encoding pass is: an initial bidirectional read of document and
-query, then `hops` rounds of token-wise attention between the two
-sides, multiplicative gating, and re-reading. Attention happens between
-consecutive readings only, so `hops` rounds produce `hops + 1` readings
-per side and `hops` energy matrices.
+One encoding pass, `encode_full`, is one loop. Reading 0 reads the
+document and the query with their own BiGRUs. Each of the `hops`
+rounds then computes the energies between the two latest readings,
+gates every document state with its attended query context, and reads
+both sides again; the query-occurrence (qe) column joins the document
+input of the last reading only. `hops` rounds produce `hops + 1`
+readings per side and `hops` energy matrices.
 
-Three switches span the ablation lattice:
+Three switches decide what the query side feeds forward:
 
   query_gating      gate the query states with attended document
                     context before the next query reading (requires
-                    dependent_query);
+                    dependent_query); the document-to-query attention
+                    is computed only under this switch;
   dependent_query   feed the (gated) query states of the previous round
                     into the next query reading instead of re-reading
                     the raw query embeddings;
@@ -25,7 +28,7 @@ only. No reading shares parameters with any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,23 +107,6 @@ class ReaderParams:
         return ReaderParams(doc, qry)
 
 
-@dataclass
-class HopState:
-    doc_enc: Tensor  # (B, n, hidden)
-    qry_enc: Tensor  # (B, m, hidden)
-    qry_final: tuple[Tensor, Tensor]  # directional final states, each (B, hidden/2)
-    hop: int
-
-
-@dataclass
-class AttentionTrace:
-    """Raw energies and both normalized attention maps per hop."""
-
-    energies: list[np.ndarray] = field(default_factory=list)  # (B, n, m)
-    doc_attention: list[np.ndarray] = field(default_factory=list)  # rows over query
-    qry_attention: list[np.ndarray] = field(default_factory=list)  # rows over document
-
-
 def qe_comm_features(doc_tokens: list[str], qry_tokens: list[str]) -> np.ndarray:
     """0/1 per document token: does it occur in the query? The
     placeholder never matches, on either side."""
@@ -130,112 +116,11 @@ def qe_comm_features(doc_tokens: list[str], qry_tokens: list[str]) -> np.ndarray
     )
 
 
-def energy(doc_enc: Tensor, qry_enc: Tensor) -> Tensor:
-    """Pairwise dot products: (B, n, r) x (B, m, r) -> (B, n, m)."""
-    if doc_enc.data.shape[-1] != qry_enc.data.shape[-1]:
-        raise DimensionError(
-            f"encoding widths differ: {doc_enc.data.shape} vs {qry_enc.data.shape}"
-        )
-    tape = doc_enc.tape
-    return tape.matmul(doc_enc, tape.transpose_last2(qry_enc))
-
-
-def cross_attend(
-    e: Tensor,
-    doc_enc: Tensor,
-    qry_enc: Tensor,
-    doc_mask: np.ndarray,
-    qry_mask: np.ndarray,
-) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
-    """Attend both ways over one energy matrix.
-
-    Returns the attended query context per document token (B, n, r),
-    the attended document context per query token (B, m, r), and the
-    two normalized maps as plain arrays for tracing.
-    """
-    tape = e.tape
-    att_doc = tape.masked_softmax(e, qry_mask[:, None, :])  # rows over query positions
-    doc_ctx = tape.matmul(att_doc, qry_enc)
-    att_qry = tape.masked_softmax(tape.transpose_last2(e), doc_mask[:, None, :])
-    qry_ctx = tape.matmul(att_qry, doc_enc)
-    return doc_ctx, qry_ctx, att_doc.data, att_qry.data
-
-
-def gate(enc: Tensor, ctx: Tensor) -> Tensor:
-    """Token-wise multiplicative gating of an encoding by its attended
-    context."""
-    if enc.data.shape != ctx.data.shape:
-        raise DimensionError(f"gate operands differ: {enc.data.shape} vs {ctx.data.shape}")
-    return enc.tape.mul(enc, ctx)
-
-
-def hop(
-    state: HopState,
-    cfg: ReaderConfig,
-    params: ReaderParams,
-    qry_emb: Tensor,
-    doc_mask: np.ndarray,
-    qry_mask: np.ndarray,
-    trace: AttentionTrace | None = None,
-    qe_features: np.ndarray | None = None,
-    dropout: tuple[float, np.random.Generator | None, bool] = (0.0, None, False),
-) -> HopState:
-    """One attention-gate-reread round, producing reading state.hop + 1.
-
-    qe_features may only be supplied on the final round (the one that
-    produces the last document reading); it is appended to the gated
-    document states as one extra input column.
-    """
-    tape = state.doc_enc.tape
-    final_round = state.hop == cfg.hops - 1
-    if qe_features is not None and not final_round:
-        raise ContractViolation(
-            f"qe features supplied on round {state.hop}, allowed only on round {cfg.hops - 1}"
-        )
-    e = energy(state.doc_enc, state.qry_enc)
-    doc_ctx, qry_ctx, att_doc, att_qry = cross_attend(
-        e, state.doc_enc, state.qry_enc, doc_mask, qry_mask
-    )
-    if trace is not None:
-        trace.energies.append(e.data)
-        trace.doc_attention.append(att_doc)
-        trace.qry_attention.append(att_qry)
-
-    doc_in = gate(state.doc_enc, doc_ctx)
-    if cfg.query_gating:
-        qry_in = gate(state.qry_enc, qry_ctx)
-    elif cfg.dependent_query:
-        qry_in = state.qry_enc
-    else:
-        qry_in = qry_emb
-
-    rate, rng, train = dropout
-    doc_in = tape.dropout(doc_in, rate, rng, train)
-    qry_in = tape.dropout(qry_in, rate, rng, train)
-    if qe_features is not None:
-        doc_in = tape.concat_last([doc_in, tape.constant(qe_features[:, :, None])])
-
-    nxt = state.hop + 1
-    doc_enc, _ = bigru(doc_in, None, None, params.doc_readers[nxt], doc_mask)
-    if cfg.carry_query_state:
-        h0f, h0b = state.qry_final
-    else:
-        h0f = h0b = None
-    qry_enc, qry_final = bigru(qry_in, h0f, h0b, params.qry_readers[nxt], qry_mask)
-    return HopState(doc_enc, qry_enc, qry_final, nxt)
-
-
-def initial_read(
-    doc_emb: Tensor,
-    qry_emb: Tensor,
-    params: ReaderParams,
-    doc_mask: np.ndarray,
-    qry_mask: np.ndarray,
-) -> HopState:
-    """Reading 0: both sides from zero initial states."""
-    doc_enc, _ = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
-    qry_enc, qry_final = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
-    return HopState(doc_enc, qry_enc, qry_final, 0)
+def attend(scores: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax of (B, i, j) scores over the unmasked positions j, then
+    the attended values (B, i, r) from values (B, j, r)."""
+    tape = scores.tape
+    return tape.matmul(tape.masked_softmax(scores, mask[:, None, :]), values)
 
 
 def encode_full(
@@ -247,10 +132,18 @@ def encode_full(
     qry_mask: np.ndarray | None = None,
     qe_features: np.ndarray | None = None,
     dropout: tuple[float, np.random.Generator | None, bool] = (0.0, None, False),
-) -> tuple[Tensor, Tensor, AttentionTrace]:
-    """Full encoding pass over (B, n, D) / (B, m, D) embeddings,
-    returning the final document and query readings plus the attention
-    trace (cfg.hops energy matrices)."""
+) -> tuple[Tensor, Tensor, list[np.ndarray]]:
+    """Full encoding pass over (B, n, D) / (B, m, D) embeddings.
+
+    Reading 0 reads both sides from zero states. Each of the cfg.hops
+    rounds computes the energies e = doc @ qryᵀ, gates the document with
+    its attended query context, routes the query side by the three
+    switches (attending to the document only under query_gating),
+    applies dropout to the document input and then the query input,
+    appends the qe column to the document input of the last round, and
+    reads both sides again. Returns the final document and query
+    readings and the cfg.hops energy matrices, each (B, n, m).
+    """
     if doc_emb.ndim != 3 or qry_emb.ndim != 3:
         raise DimensionError(
             f"encode_full expects (B, n, D) and (B, m, D) embeddings, got "
@@ -267,19 +160,25 @@ def encode_full(
     if not cfg.qe_comm and qe_features is not None:
         raise ContractViolation("qe features supplied but disabled in the config")
 
-    trace = AttentionTrace()
-    state = initial_read(doc_emb, qry_emb, params, doc_mask, qry_mask)
-    for s in range(cfg.hops):
-        last = s == cfg.hops - 1
-        state = hop(
-            state,
-            cfg,
-            params,
-            qry_emb,
-            doc_mask,
-            qry_mask,
-            trace=trace,
-            qe_features=qe_features if (last and cfg.qe_comm) else None,
-            dropout=dropout,
-        )
-    return state.doc_enc, state.qry_enc, trace
+    tape = doc_emb.tape
+    rate, rng, train = dropout
+    doc, _ = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
+    qry, (h0f, h0b) = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
+    energies = []
+    for s in range(1, cfg.hops + 1):
+        e = tape.matmul(doc, tape.transpose_last2(qry))
+        energies.append(e.data)
+        doc_in = tape.mul(doc, attend(e, qry, qry_mask))
+        if cfg.query_gating:
+            qry_in = tape.mul(qry, attend(tape.transpose_last2(e), doc, doc_mask))
+        else:
+            qry_in = qry if cfg.dependent_query else qry_emb
+        if not cfg.carry_query_state:
+            h0f = h0b = None
+        doc_in = tape.dropout(doc_in, rate, rng, train)
+        qry_in = tape.dropout(qry_in, rate, rng, train)
+        if s == cfg.hops and qe_features is not None:
+            doc_in = tape.concat_last([doc_in, tape.constant(qe_features[:, :, None])])
+        doc, _ = bigru(doc_in, None, None, params.doc_readers[s], doc_mask)
+        qry, (h0f, h0b) = bigru(qry_in, h0f, h0b, params.qry_readers[s], qry_mask)
+    return doc, qry, energies

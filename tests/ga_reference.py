@@ -3,7 +3,8 @@
 Every query reading starts from zero states and re-reads the raw query
 embeddings; only the document side is attended and gated. Written
 directly against the engine primitives, without the reader module's
-hop/state machinery, to cross-check the flags-off configuration.
+switches or its `attend` helper, to cross-check the flags-off
+configuration.
 """
 
 import numpy as np

@@ -18,7 +18,6 @@ from dgreader.analysis import (
 )
 from dgreader.corpus import ClozeSample
 from dgreader.errors import ConfigError, ContractViolation
-from dgreader.reader import AttentionTrace
 
 
 def record(sample_id, correct, doc_len=10, qry_len=5, gold="x"):
@@ -86,11 +85,8 @@ def toy_sample():
 
 
 def toy_trace(rng, hops=2, n=4, m=3):
-    return AttentionTrace(
-        energies=[rng.normal(size=(1, n, m)) for _ in range(hops)],
-        doc_attention=[rng.random((1, n, m)) for _ in range(hops)],
-        qry_attention=[rng.random((1, m, n)) for _ in range(hops)],
-    )
+    """Per-hop (1, n, m) energy matrices, as encode_sample returns them."""
+    return [rng.normal(size=(1, n, m)) for _ in range(hops)]
 
 
 class TestAttentionExport:
@@ -99,7 +95,7 @@ class TestAttentionExport:
         trace = toy_trace(rng)
         sample = toy_sample()
         export = export_attention(trace, sample)
-        e = trace.energies[0][0]
+        e = trace[0][0]
         raw = np.stack([e[0] + e[2], e[1]])
         want = (raw - raw.min()) / (raw.max() - raw.min())
         np.testing.assert_allclose(export.layers[0], want, atol=1e-12)
@@ -116,7 +112,7 @@ class TestAttentionExport:
         ).validate()
         trace = toy_trace(rng, hops=1, n=3, m=2)
         export = export_attention(trace, sample)
-        raw = trace.energies[0][0].sum(axis=0, keepdims=True)
+        raw = trace[0][0].sum(axis=0, keepdims=True)
         want = (raw - raw.min()) / (raw.max() - raw.min())
         np.testing.assert_allclose(export.layers[0], want, atol=1e-12)
 
@@ -136,10 +132,7 @@ class TestAttentionExport:
             answer="dog",
             placeholder_index=1,
         ).validate()
-        trace = AttentionTrace(
-            energies=[np.full((1, 4, 3), 0.7)], doc_attention=[None], qry_attention=[None]
-        )
-        export = export_attention(trace, sample)
+        export = export_attention([np.full((1, 4, 3), 0.7)], sample)
         np.testing.assert_array_equal(export.layers[0], 0.0)
         np.testing.assert_array_equal(export.placeholder_column, 0.0)
 

@@ -1,6 +1,7 @@
 """Reader tests: ablation lattice validation, attention against scalar
-oracles, hop wiring, padding invariance, and the degenerate-configuration
-equivalence with an independently coded reference."""
+oracles, the wiring of one encoding round, padding invariance, and the
+degenerate-configuration equivalence with an independently coded
+reference."""
 
 import math
 
@@ -13,12 +14,8 @@ from dgreader.reader import (
     ABLATION_PRESETS,
     ReaderConfig,
     ReaderParams,
-    cross_attend,
+    attend,
     encode_full,
-    energy,
-    gate,
-    hop,
-    initial_read,
     qe_comm_features,
 )
 
@@ -92,33 +89,9 @@ class TestReaderConfig:
         assert params.doc_readers[2].input_size == 9
 
 
-class TestEnergyAndGate:
-    def test_energy_is_pairwise_dot(self):
-        rng = np.random.default_rng(2)
-        doc = rng.normal(size=(1, 4, 3))
-        qry = rng.normal(size=(1, 5, 3))
-        tape = Tape()
-        e = energy(tape.constant(doc), tape.constant(qry))
-        np.testing.assert_allclose(e.data[0], doc[0] @ qry[0].T, atol=1e-14)
-
-    def test_energy_width_mismatch_rejected(self):
-        tape = Tape()
-        with pytest.raises(DimensionError):
-            energy(tape.constant(np.zeros((1, 4, 3))), tape.constant(np.zeros((1, 5, 2))))
-
-    def test_gate_is_elementwise_product(self):
-        tape = Tape()
-        a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
-        b = tape.constant([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(gate(a, b).data, [[5.0, 12.0], [21.0, 32.0]])
-
-    def test_gate_shape_mismatch_rejected(self):
-        tape = Tape()
-        with pytest.raises(DimensionError):
-            gate(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((3, 2))))
-
-
 class TestCrossAttend:
+    """`attend` in both directions over one energy matrix."""
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_double_loop_oracle(self, seed):
         rng = np.random.default_rng(300 + seed)
@@ -129,22 +102,27 @@ class TestCrossAttend:
         qmask = np.array([[1.0, 1.0, 1.0, 0.0]])
         tape = Tape()
         d_t, q_t = tape.constant(doc), tape.constant(qry)
-        e = energy(d_t, q_t)
-        doc_ctx, qry_ctx, att_doc, att_qry = cross_attend(e, d_t, q_t, dmask, qmask)
+        e = tape.matmul(d_t, tape.transpose_last2(q_t))
+        doc_ctx = attend(e, q_t, qmask)
+        qry_ctx = attend(tape.transpose_last2(e), d_t, dmask)
         exp_doc, exp_qry = scalar_cross_attend(e.data[0], doc[0], qry[0], dmask[0], qmask[0])
         np.testing.assert_allclose(doc_ctx.data[0], exp_doc, atol=1e-12)
         np.testing.assert_allclose(qry_ctx.data[0][qmask[0] == 1.0], exp_qry[qmask[0] == 1.0], atol=1e-12)
 
     def test_attention_rows_sum_to_one_and_mask_out(self):
+        # attending identity values returns the attention weights as is
         rng = np.random.default_rng(4)
         doc = rng.normal(size=(2, 6, 4))
         qry = rng.normal(size=(2, 5, 4))
         dmask = suffix_mask(rng, 2, 6)
         qmask = suffix_mask(rng, 2, 5)
         tape = Tape()
-        d_t, q_t = tape.constant(doc), tape.constant(qry)
-        e = energy(d_t, q_t)
-        _, _, att_doc, att_qry = cross_attend(e, d_t, q_t, dmask, qmask)
+        e = tape.matmul(tape.constant(doc), tape.transpose_last2(tape.constant(qry)))
+        att_doc = attend(e, tape.constant(np.broadcast_to(np.eye(5), (2, 5, 5))), qmask).data
+        e_t = tape.transpose_last2(e)
+        att_qry = attend(e_t, tape.constant(np.broadcast_to(np.eye(6), (2, 6, 6))), dmask).data
+        np.testing.assert_array_equal(att_doc, tape.masked_softmax(e, qmask[:, None, :]).data)
+        np.testing.assert_array_equal(att_qry, tape.masked_softmax(e_t, dmask[:, None, :]).data)
         np.testing.assert_allclose(att_doc.sum(-1), 1.0, atol=1e-12)
         np.testing.assert_allclose(att_qry.sum(-1), 1.0, atol=1e-12)
         for b in range(2):
@@ -165,20 +143,15 @@ class TestQeFeatures:
 
 
 class TestHopWiring:
-    def setup_case(self, seed, **flags):
-        rng = np.random.default_rng(seed)
-        cfg, params = tiny_setup(rng, qe=False, **flags)
-        doc, qry = random_embeddings(rng, 1, 6, 4, 5)
-        dmask = np.ones((1, 6))
-        qmask = np.ones((1, 4))
-        return rng, cfg, params, doc, qry, dmask, qmask
-
     def test_full_flags_hop_equals_manual_composition(self):
-        _, cfg, params, doc, qry, dmask, qmask = self.setup_case(10)
+        rng = np.random.default_rng(10)
+        cfg, params = tiny_setup(rng, hops=1, qe=False)
+        doc, qry = random_embeddings(rng, 1, 6, 4, 5)
+        dmask, qmask = np.ones((1, 6)), np.ones((1, 4))
         tape = Tape()
-        d_emb, q_emb = tape.constant(doc), tape.constant(qry)
-        state = initial_read(d_emb, q_emb, params, dmask, qmask)
-        nxt = hop(state, cfg, params, q_emb, dmask, qmask)
+        d1_got, q1_got, energies = encode_full(
+            tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask
+        )
 
         # manual straight-line recomputation
         ref = Tape()
@@ -191,39 +164,29 @@ class TestHopWiring:
         v = ref.mul(q0, ref.matmul(a_q, d0))
         d1, _ = bigru(u, None, None, params.doc_readers[1], dmask)
         q1, _ = bigru(v, qf[0], qf[1], params.qry_readers[1], qmask)
-        np.testing.assert_allclose(nxt.doc_enc.data, d1.data, atol=1e-13)
-        np.testing.assert_allclose(nxt.qry_enc.data, q1.data, atol=1e-13)
+        np.testing.assert_allclose(energies[0], e.data, atol=1e-14)
+        np.testing.assert_allclose(d1_got.data, d1.data, atol=1e-13)
+        np.testing.assert_allclose(q1_got.data, q1.data, atol=1e-13)
 
     def test_flag_routing_changes_query_side_only(self):
         # within a single round the flags steer the query reading's input
         # and initial state; the document reading is unaffected
         rng = np.random.default_rng(11)
-        full_cfg = ReaderConfig(hops=2, hidden=8, qe_comm=False).validate()
+        full_cfg = ReaderConfig(hops=1, hidden=8, qe_comm=False).validate()
         params = ReaderParams.create(np.random.default_rng(50), full_cfg, 5)
         doc, qry = random_embeddings(rng, 1, 6, 4, 5)
         dmask, qmask = np.ones((1, 6)), np.ones((1, 4))
         tape = Tape()
         d_emb, q_emb = tape.constant(doc), tape.constant(qry)
-        state = initial_read(d_emb, q_emb, params, dmask, qmask)
-        full = hop(state, full_cfg, params, q_emb, dmask, qmask)
+        full_d, full_q, _ = encode_full(d_emb, q_emb, full_cfg, params, dmask, qmask)
         for flags in (
             dict(query_gating=False, dependent_query=True, carry_query_state=True),
             dict(query_gating=True, dependent_query=True, carry_query_state=False),
         ):
-            cfg = ReaderConfig(hops=2, hidden=8, qe_comm=False, **flags).validate()
-            ablated = hop(state, cfg, params, q_emb, dmask, qmask)
-            assert not np.allclose(ablated.qry_enc.data, full.qry_enc.data)
-            np.testing.assert_allclose(ablated.doc_enc.data, full.doc_enc.data, atol=1e-13)
-
-    def test_qe_features_on_non_final_round_rejected(self):
-        rng, cfg, params, doc, qry, dmask, qmask = self.setup_case(12)
-        cfg_qe = ReaderConfig(hops=2, hidden=8, qe_comm=True).validate()
-        params_qe = ReaderParams.create(np.random.default_rng(12), cfg_qe, 5)
-        tape = Tape()
-        state = initial_read(tape.constant(doc), tape.constant(qry), params_qe, dmask, qmask)
-        with pytest.raises(ContractViolation, match="round"):
-            hop(state, cfg_qe, params_qe, tape.constant(qry), dmask, qmask,
-                qe_features=np.zeros((1, 6)))
+            cfg = ReaderConfig(hops=1, hidden=8, qe_comm=False, **flags).validate()
+            ablated_d, ablated_q, _ = encode_full(d_emb, q_emb, cfg, params, dmask, qmask)
+            assert not np.allclose(ablated_q.data, full_q.data)
+            np.testing.assert_allclose(ablated_d.data, full_d.data, atol=1e-13)
 
 
 class TestEncodeFull:
@@ -233,10 +196,28 @@ class TestEncodeFull:
             cfg, params = tiny_setup(rng, hops=hops, qe=False)
             doc, qry = random_embeddings(rng, 2, 5, 4, 5)
             tape = Tape()
-            _, _, trace = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
-            assert len(trace.energies) == hops
-            assert len(trace.doc_attention) == hops
-            assert trace.energies[0].shape == (2, 5, 4)
+            _, _, energies = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
+            assert len(energies) == hops
+            assert energies[0].shape == (2, 5, 4)
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_query_side_reads_document_only_through_query_gating(self, preset):
+        rng = np.random.default_rng(27)
+        cfg = ReaderConfig.from_preset(preset, hops=2, hidden=8, qe_comm=False)
+        params = ReaderParams.create(np.random.default_rng(98), cfg, 5)
+        doc, qry = random_embeddings(rng, 2, 6, 4, 5)
+        dmask = suffix_mask(rng, 2, 6)
+        qmask = suffix_mask(rng, 2, 4)
+
+        tape = Tape()
+        _, qry_enc, _ = encode_full(tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask)
+        softmaxes = sum(node.op == "masked_softmax" for node in tape.nodes)
+        assert softmaxes == (2 * cfg.hops if cfg.query_gating else cfg.hops)
+        moved = doc + rng.normal(size=doc.shape)
+        _, moved_q, _ = encode_full(
+            tape.constant(moved), tape.constant(qry), cfg, params, dmask, qmask
+        )
+        assert np.array_equal(moved_q.data, qry_enc.data) == (not cfg.query_gating)
 
     def test_rank_two_inputs_rejected(self):
         # a single sample is a batch of one; an unbatched (T, D) sequence

@@ -2,9 +2,10 @@
 
 Every module-level function and public method of the package must be
 referenced somewhere in src/dgreader outside its own body. References
-are matched by name (a plain name or an attribute spelled the same),
-not by resolved target, so the guard finds entry points that nothing in
-the package reaches, not every unused overload.
+are matched by name (a plain name or an attribute spelled the same,
+other than one read off `np`), not by resolved target, so the guard
+finds entry points that nothing in the package reaches, not every
+unused overload.
 """
 
 import ast
@@ -18,16 +19,20 @@ PACKAGE = Path(dgreader.__file__).parent
 # Unreferenced in src/ on purpose: the Tape primitives that the
 # gru_cell oracle and the op tests are built from, and the constructor
 # the benchmark builds its reader configurations with.
-ALLOWED = {"Tape.sigmoid", "Tape.sum_all", "ReaderConfig.from_preset"}
+ALLOWED = {"Tape.sigmoid", "Tape.tanh", "Tape.sum_all", "ReaderConfig.from_preset"}
 
 
 def names_in(node: ast.AST) -> Counter:
+    """Names and attribute names read in node. Attributes read off `np`
+    are skipped, so a numpy function spelled like a method (`np.tanh`)
+    does not count as a caller of it."""
     found = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
+            if not (isinstance(sub.value, ast.Name) and sub.value.id == "np"):
+                found[sub.attr] += 1
     return found
 
 
