@@ -26,7 +26,9 @@ bigru, the one recurrent primitive, runs its two directions stacked as
 batched over directions, and a single reverse sweep serve both; the
 backward direction reads the flipped input under the flipped mask. The
 whole scan is one tape node: a bigru over (B, T, in) records one node
-with output (B, T, 2*hidden), plus one small node per final state.
+with output (B, T, 2*hidden). A caller that reads the final directional
+states asks final_states for them, which records two small select
+nodes.
 
 Ownership: a Tape holds its nodes strongly, and each Tensor refers to
 its tape only weakly, so the graph has no reference cycle. Whoever
@@ -35,6 +37,13 @@ whole graph alive; once the last holder lets go, reference counting
 frees the tape and every activation its nodes saved, without waiting
 for the cyclic collector. A tensor that outlives its tape can still be
 read (.data), but using its tape raises ContractViolation.
+
+Each activation is saved once and lives until its last reader is done.
+A scan's states are saved only as its node output; its gates are held
+by its backward closure alone. backward consumes the tape: it drops
+each node's closure, and with it what only the closure saved, as soon
+as the sweep has passed the node, and it refuses to run a second time
+on the same tape. Node outputs stay readable after a backward.
 """
 
 from __future__ import annotations
@@ -151,11 +160,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Tape:
-    """Ordered record of primitive applications for one forward pass."""
+    """Ordered record of primitive applications for one forward pass.
+    One backward consumes it (see backward)."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
         self.watched: dict[int, tuple[Parameter, Tensor]] = {}
+        self.consumed = False
 
     # ---- leaves ----
 
@@ -195,15 +206,19 @@ class Tape:
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         def bwd(out):
-            _acc(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _acc(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            if a.needs_grad:
+                _acc(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            if b.needs_grad:
+                _acc(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
         return self._node(a.data * b.data, (a, b), bwd, "mul")
 
     def div(self, a: Tensor, b: Tensor) -> Tensor:
         def bwd(out):
-            _acc(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            _acc(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
+            if a.needs_grad:
+                _acc(a, _unbroadcast(out.grad / b.data, a.data.shape))
+            if b.needs_grad:
+                _acc(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
 
         return self._node(a.data / b.data, (a, b), bwd, "div")
 
@@ -407,22 +422,28 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     for trainable ones, zeros for frozen ones and for parameters the
     loss does not depend on. Returns {parameter id: gradient}.
 
-    Intermediate gradients are released during the sweep: once a node's
-    backward has run, nothing reads its .grad again, so it is set to
-    None. Afterwards only the loss and the watched leaves hold a .grad.
+    The sweep frees what it has consumed: once a node's turn has come,
+    its backward closure (and with it every activation that only the
+    closure saved, such as a scan's gates) and its .grad are released.
+    Afterwards only the loss and the watched leaves hold a .grad, and
+    every node output can still be read. A backward therefore consumes
+    its tape; a second one on the same tape raises ContractViolation.
     """
     if loss.tape is not tape:
         raise ContractViolation("loss tensor does not belong to the given tape")
     if loss.data.size != 1:
         raise ContractViolation(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    for node in tape.nodes:
-        node.grad = None
-    for _, leaf in tape.watched.values():
-        leaf.grad = None
+    if tape.consumed:
+        raise ContractViolation(
+            f"backward from op {loss.op or 'leaf'!r}: this tape of {len(tape.nodes)} nodes "
+            "was already consumed by an earlier backward; run the forward again"
+        )
+    tape.consumed = True
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        if node.bwd is not None and node.grad is not None and node.needs_grad:
-            node.bwd(node)
+        bwd, node.bwd = node.bwd, None
+        if bwd is not None and node.grad is not None and node.needs_grad:
+            bwd(node)
             if node is not loss:
                 node.grad = None
     grads: dict[str, np.ndarray] = {}
@@ -501,22 +522,49 @@ def _per_direction(a: np.ndarray, transpose: bool = False) -> np.ndarray:
     return np.swapaxes(flat, -1, -2) if transpose else flat
 
 
+def _reverse_sweep(
+    g: np.ndarray, h_prevs: np.ndarray, zrs: np.ndarray, cs: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's reverse time loop. g (T, 2, B, n) is the gradient of
+    each step's output state and h_prevs the state each step read, both
+    in reading order; zrs and cs are the saved gates. Returns the
+    gradient of the gate pre-activations, laid out like xg, and the
+    gradient of the initial states (2, B, n)."""
+    steps = g.shape[0]
+    u_t = np.swapaxes(u, -1, -2)
+    d_xg = np.empty((steps, 3) + g.shape[1:])
+    dh = np.zeros(g.shape[1:])
+    for t in range(steps - 1, -1, -1):
+        h_prev = h_prevs[t]
+        z, r = zrs[t, 0], zrs[t, 1]
+        c = cs[t]
+        dz, dr, dc = d_xg[t, 0], d_xg[t, 1], d_xg[t, 2]
+        dht = g[t] + dh
+        dht_z = dht * z
+        np.multiply(dht_z, 1.0 - c * c, out=dc)
+        drh = dc @ u_t[2]
+        np.multiply(dht_z * (c - h_prev), 1.0 - z, out=dz)
+        np.multiply(drh * h_prev * r, 1.0 - r, out=dr)
+        dh_zr = d_xg[t, :2] @ u_t[:2]
+        dh = dht - dht_z + drh * r + dh_zr[0] + dh_zr[1]
+    return d_xg, dh
+
+
 def bigru(
     sequence: Tensor,
     h0_fwd: Tensor | None,
     h0_bwd: Tensor | None,
     params: BiGRUParams,
     mask: np.ndarray | None = None,
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+) -> Tensor:
     """Bidirectional GRU over a (B, T, in) batch of sequences.
 
     Returns the per-step states (B, T, 2*hidden), forward and backward
-    halves side by side in the time order of the sequence, and the pair
-    of final directional states, outputs[:, T-1, :hidden] and
-    outputs[:, 0, hidden:]. The backward direction reads the flipped
-    sequence under the flipped mask (step t consumes sequence[:, T-1-t]),
-    so with a padded batch its final state is the state after the first
-    real token.
+    halves side by side in the time order of the sequence; final_states
+    picks the pair of final directional states out of them. The backward
+    direction reads the flipped sequence under the flipped mask (step t
+    consumes sequence[:, T-1-t]), so with a padded batch its final state
+    is the state after the first real token.
 
     The two directions are stacked as (2, B, ·) and advance together, so
     one time loop and one reverse sweep serve both; each step's
@@ -525,6 +573,12 @@ def bigru(
     params.w_hid through a gate-major view, all from the live parameter
     arrays, so in-place perturbation (finite differences) is always
     seen; each gradient comes back in its parameter's own layout.
+
+    The states are saved once, as the node's output: the backward
+    rebuilds each step's previous state from it and the initial states.
+    Besides the output the node saves only the gates (z, r and the
+    candidate), and its backward frees each of its arrays at its last
+    read.
     """
     x = sequence
     tape = x.tape
@@ -563,9 +617,9 @@ def bigru(
     xg = np.empty((steps, 3, 2, batch, n))
     for d in range(2):
         xg[:, :, d] = _reading_order(proj[:, :, d], d).transpose(1, 2, 0, 3)
+    del proj  # as large as xg; freed before the scan allocates its own arrays
     # states[0] holds the initial states and states[t + 1] the states
-    # after step t, so the reverse sweep reads each step's previous state
-    # as the view states[:-1].
+    # after step t; it lives only until the output is built.
     states = np.empty((steps + 1, 2, batch, n))
     for d, h0 in enumerate(h0s):
         states[0, d] = 0.0 if h0 is None else h0.data
@@ -595,28 +649,24 @@ def bigru(
     out_data = np.empty((batch, steps, 2 * n))
     for d in range(2):
         out_data[:, :, d * n : (d + 1) * n] = _reading_order(states[1:, d].transpose(1, 0, 2), d)
+    # The backward takes the gates out of this list, so that it alone
+    # holds them and can drop each at its last read.
+    saved = [zrs, cs]
 
     def bwd(out):
-        u_t = np.swapaxes(u, -1, -2)
+        zrs, cs = saved
+        saved.clear()
+        # g[t, d]: gradient of direction d's state after its step t, and
+        # h_prevs[t, d]: the state that step read, both in reading order.
         g = np.empty((steps, 2, batch, n))
-        for d in range(2):
-            g[:, d] = _reading_order(out.grad[:, :, d * n : (d + 1) * n], d).transpose(1, 0, 2)
-        h_prevs = states[:-1]
-        d_xg = np.empty((steps, 3, 2, batch, n))  # gradient of the gate pre-activations
-        dh = np.zeros((2, batch, n))
-        for t in range(steps - 1, -1, -1):
-            h_prev = h_prevs[t]
-            z, r = zrs[t, 0], zrs[t, 1]
-            c = cs[t]
-            dz, dr, dc = d_xg[t, 0], d_xg[t, 1], d_xg[t, 2]
-            dht = g[t] + dh
-            dht_z = dht * z
-            np.multiply(dht_z, 1.0 - c * c, out=dc)
-            drh = dc @ u_t[2]
-            np.multiply(dht_z * (c - h_prev), 1.0 - z, out=dz)
-            np.multiply(drh * h_prev * r, 1.0 - r, out=dr)
-            dh_zr = d_xg[t, :2] @ u_t[:2]
-            dh = dht - dht_z + drh * r + dh_zr[0] + dh_zr[1]
+        h_prevs = np.empty((steps, 2, batch, n))
+        for d, h0 in enumerate(h0s):
+            cols = slice(d * n, (d + 1) * n)
+            g[:, d] = _reading_order(out.grad[:, :, cols], d).transpose(1, 0, 2)
+            h_prevs[0, d] = 0.0 if h0 is None else h0.data
+            h_prevs[1:, d] = _reading_order(out.data[:, :, cols], d).transpose(1, 0, 2)[:-1]
+        d_xg, dh = _reverse_sweep(g, h_prevs, zrs, cs, u)
+        del g, cs
 
         if w_hid.needs_grad:
             h_t = _per_direction(h_prevs, True)
@@ -625,12 +675,15 @@ def bigru(
                 h_t @ _per_direction(d_xg[:, 1]),
                 _per_direction(zrs[:, 1] * h_prevs, True) @ _per_direction(d_xg[:, 2]),
             ]
+            del h_t
             _acc(w_hid, np.concatenate(d_u, axis=-1))
+        del h_prevs, zrs
         # d_proj: gradient of the projected inputs in x's time order, laid
         # out like the columns of w_in.
         d_proj = np.empty((batch, steps, 2, 3, n))
         for d in range(2):
             d_proj[:, :, d] = _reading_order(d_xg[:, :, d].transpose(2, 0, 1, 3), d)
+        del d_xg
         d_proj = d_proj.reshape(batch * steps, 6 * n)
         if w_in.needs_grad:
             _acc(w_in, x.data.reshape(batch * steps, width).T @ d_proj)
@@ -642,10 +695,21 @@ def bigru(
             _acc(x, (d_proj @ w_in.data.T).reshape(batch, steps, width))
 
     parents = (x, *(h0 for h0 in h0s if h0 is not None), w_in, w_hid, bias)
-    outputs = tape._node(out_data, parents, bwd, "bigru")
-    final_f = tape.select(outputs, (slice(None), -1, slice(0, n)))
-    final_b = tape.select(outputs, (slice(None), 0, slice(n, 2 * n)))
-    return outputs, (final_f, final_b)
+    return tape._node(out_data, parents, bwd, "bigru")
+
+
+def final_states(outputs: Tensor) -> tuple[Tensor, Tensor]:
+    """The final directional states of a bigru's (B, T, 2*hidden)
+    outputs: the forward state after the last step, outputs[:, T-1,
+    :hidden], and the backward state after the first,
+    outputs[:, 0, hidden:]. Records two select nodes, so a caller asks
+    for them only when something reads them."""
+    tape = outputs.tape
+    n = outputs.data.shape[-1] // 2
+    return (
+        tape.select(outputs, (slice(None), -1, slice(0, n))),
+        tape.select(outputs, (slice(None), 0, slice(n, 2 * n))),
+    )
 
 
 # ---------------------------------------------------------------------------

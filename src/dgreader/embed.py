@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import BiGRUParams, Parameter, Tape, Tensor, bigru, glorot
+from .autodiff import BiGRUParams, Parameter, Tape, Tensor, bigru, final_states, glorot
 from .corpus import PAD_ID, Vocabulary
 from .errors import ContractViolation, DimensionError, ParseError
 
@@ -122,8 +122,7 @@ class CharEmbedder:
             raise DimensionError(f"char id matrix must be (N, L), got {char_ids.shape}")
         table = tape.watch(self.table)
         emb = tape.gather_rows(table, char_ids)  # (N, L, char_dim)
-        _, finals = bigru(emb, None, None, self.gru, char_mask)
-        both = tape.concat_last(finals)
+        both = tape.concat_last(final_states(bigru(emb, None, None, self.gru, char_mask)))
         return tape.add(tape.matmul(both, tape.watch(self.proj_w)), tape.watch(self.proj_b))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import BiGRUParams, Parameter, Tensor, bigru
+from .autodiff import BiGRUParams, Parameter, Tensor, bigru, final_states
 from .corpus import PLACEHOLDER
 from .errors import ConfigError, ContractViolation, DimensionError
 
@@ -162,10 +162,11 @@ def encode_full(
 
     tape = doc_emb.tape
     rate, rng, train = dropout
-    doc, _ = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
-    qry, (h0f, h0b) = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
+    doc = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
+    qry = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
     energies = []
     for s in range(1, cfg.hops + 1):
+        h0f, h0b = final_states(qry) if cfg.carry_query_state else (None, None)
         e = tape.matmul(doc, tape.transpose_last2(qry))
         energies.append(e.data)
         doc_in = tape.mul(doc, attend(e, qry, qry_mask))
@@ -173,12 +174,10 @@ def encode_full(
             qry_in = tape.mul(qry, attend(tape.transpose_last2(e), doc, doc_mask))
         else:
             qry_in = qry if cfg.dependent_query else qry_emb
-        if not cfg.carry_query_state:
-            h0f = h0b = None
         doc_in = tape.dropout(doc_in, rate, rng, train)
         qry_in = tape.dropout(qry_in, rate, rng, train)
         if s == cfg.hops and qe_features is not None:
             doc_in = tape.concat_last([doc_in, tape.constant(qe_features[:, :, None])])
-        doc, _ = bigru(doc_in, None, None, params.doc_readers[s], doc_mask)
-        qry, (h0f, h0b) = bigru(qry_in, h0f, h0b, params.qry_readers[s], qry_mask)
+        doc = bigru(doc_in, None, None, params.doc_readers[s], doc_mask)
+        qry = bigru(qry_in, h0f, h0b, params.qry_readers[s], qry_mask)
     return doc, qry, energies

@@ -13,8 +13,8 @@ from dgreader.autodiff import bigru
 
 
 def ga_encode(tape, doc_emb, qry_emb, params, hops, doc_mask, qry_mask, qe=None):
-    doc, _ = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
-    qry, _ = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
+    doc = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
+    qry = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
     for s in range(hops):
         e = tape.matmul(doc, tape.transpose_last2(qry))
         att = tape.masked_softmax(e, qry_mask[:, None, :])
@@ -22,8 +22,8 @@ def ga_encode(tape, doc_emb, qry_emb, params, hops, doc_mask, qry_mask, qe=None)
         gated = tape.mul(doc, ctx)
         if s == hops - 1 and qe is not None:
             gated = tape.concat_last([gated, tape.constant(qe[:, :, None])])
-        doc, _ = bigru(gated, None, None, params.doc_readers[s + 1], doc_mask)
-        qry, _ = bigru(qry_emb, None, None, params.qry_readers[s + 1], qry_mask)
+        doc = bigru(gated, None, None, params.doc_readers[s + 1], doc_mask)
+        qry = bigru(qry_emb, None, None, params.qry_readers[s + 1], qry_mask)
     return doc, qry
 
 

@@ -14,6 +14,7 @@ from dgreader.autodiff import (
     Tape,
     backward,
     bigru,
+    final_states,
     load_checkpoint,
     restore_parameters,
     save_checkpoint,
@@ -312,9 +313,8 @@ class TestBiGRU:
         h0b = rng.normal(size=(1, hidden))
 
         tape = Tape()
-        outputs, (ff, fb) = bigru(
-            tape.constant(x), tape.constant(h0f), tape.constant(h0b), params
-        )
+        outputs = bigru(tape.constant(x), tape.constant(h0f), tape.constant(h0b), params)
+        ff, fb = final_states(outputs)
 
         chain = Tape()
         h = chain.constant(h0f)
@@ -352,8 +352,10 @@ class TestBiGRU:
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
 
         tape = Tape()
-        out_short, (ff_s, fb_s) = bigru(tape.constant(x), None, None, params)
-        out_long, (ff_l, fb_l) = bigru(tape.constant(padded), None, None, params, mask)
+        out_short = bigru(tape.constant(x), None, None, params)
+        out_long = bigru(tape.constant(padded), None, None, params, mask)
+        ff_s, fb_s = final_states(out_short)
+        ff_l, fb_l = final_states(out_long)
         np.testing.assert_array_equal(out_long.data[:, :3], out_short.data)
         np.testing.assert_array_equal(ff_l.data, ff_s.data)
         np.testing.assert_array_equal(fb_l.data, fb_s.data)
@@ -377,9 +379,8 @@ class TestBiGRU:
         steps, hidden = x.shape[1], params.hidden
 
         tape = Tape()
-        outputs, (ff, fb) = bigru(
-            tape.constant(x), tape.constant(h0f), tape.constant(h0b), params, mask
-        )
+        outputs = bigru(tape.constant(x), tape.constant(h0f), tape.constant(h0b), params, mask)
+        ff, fb = final_states(outputs)
 
         # Per sample, each direction reads only the real tokens; past the
         # last one the forward state stays frozen and the backward state
@@ -402,27 +403,41 @@ class TestBiGRU:
         np.testing.assert_allclose(fb.data, expected[:, 0, hidden:], atol=1e-13)
 
     def test_gradients_match_finite_differences(self):
+        # The padded batch, then the edges of the previous states the
+        # backward rebuilds from the output: a one-step sequence, whose
+        # only previous state is the initial one, and a batch whose second
+        # row is masked throughout, so its output is its initial state at
+        # every step. Initial states are non-zero in both directions.
         params, x, h0f, h0b, mask = self.padded_case(34)
-        x_param = Parameter("x", x)
-        h0f_param = Parameter("h0f", h0f)
-        h0b_param = Parameter("h0b", h0b)
-        checked = params.parameters() + [x_param, h0f_param, h0b_param]
+        cases = [
+            (x, mask),
+            (x[:, :1], None),
+            (x, np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0] * 5])),
+        ]
+        for x, mask in cases:
+            x_param = Parameter("x", x)
+            h0f_param = Parameter("h0f", h0f)
+            h0b_param = Parameter("h0b", h0b)
+            checked = params.parameters() + [x_param, h0f_param, h0b_param]
 
-        def run():
-            tape = Tape()
-            outputs, (ff, fb) = bigru(
-                tape.watch(x_param), tape.watch(h0f_param), tape.watch(h0b_param), params, mask
-            )
-            loss = tape.add(
-                tape.mean_all(tape.tanh(outputs)), tape.sum_all(tape.mul(ff, fb))
-            )
-            return tape, loss
+            def run():
+                tape = Tape()
+                outputs = bigru(
+                    tape.watch(x_param), tape.watch(h0f_param), tape.watch(h0b_param), params, mask
+                )
+                ff, fb = final_states(outputs)
+                loss = tape.add(
+                    tape.mean_all(tape.tanh(outputs)), tape.sum_all(tape.mul(ff, fb))
+                )
+                return tape, loss
 
-        tape, loss = run()
-        grads = backward(tape, loss)
-        report = check_gradients(lambda: run()[1].data.item(), checked, grads)
-        assert report.passed, report.summary()
-        assert len(report.per_param) == 6
+            tape, loss = run()
+            grads = backward(tape, loss)
+            report = check_gradients(lambda: run()[1].data.item(), checked, grads)
+            assert report.passed, report.summary()
+            assert len(report.per_param) == 6
+            if mask is not None and not mask[1].any():
+                np.testing.assert_array_equal(grads["x"][1], 0.0)
 
 
 class TestDropout:
@@ -538,6 +553,25 @@ class TestTapeLifetime:
             assert param.grad is grads[param.id]
             if param.trainable:
                 np.testing.assert_array_equal(leaf.grad, param.grad)
+
+    def test_backward_releases_every_closure_and_keeps_outputs(self, model_and_batch, live_tapes):
+        model, batch = model_and_batch
+        result = model.forward_batch(batch)
+        doc_enc, cand_probs = result.doc_enc.data.copy(), result.cand_probs.data.copy()
+        backward(result.tape, result.loss)
+        assert [n.op for n in result.tape.nodes if n.bwd is not None] == []
+        np.testing.assert_array_equal(result.doc_enc.data, doc_enc)
+        np.testing.assert_array_equal(result.cand_probs.data, cand_probs)
+
+    def test_second_backward_on_a_tape_raises_located_error(self, model_and_batch, live_tapes):
+        model, batch = model_and_batch
+        result = model.forward_batch(batch)
+        backward(result.tape, result.loss)
+        nodes = len(result.tape.nodes)
+        with pytest.raises(
+            ContractViolation, match=rf"op 'neg': this tape of {nodes} nodes was already consumed"
+        ):
+            backward(result.tape, result.loss)
 
     def test_orphaned_tensor_raises_located_error(self, model_and_batch, live_tapes):
         model, batch = model_and_batch

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dgreader.autodiff import Tape, backward, bigru
+from dgreader.autodiff import Tape, backward, bigru, final_states
 from dgreader.errors import ConfigError, ContractViolation, DimensionError
 from dgreader.reader import (
     ABLATION_PRESETS,
@@ -155,15 +155,16 @@ class TestHopWiring:
 
         # manual straight-line recomputation
         ref = Tape()
-        d0, _ = bigru(ref.constant(doc), None, None, params.doc_readers[0], dmask)
-        q0, qf = bigru(ref.constant(qry), None, None, params.qry_readers[0], qmask)
+        d0 = bigru(ref.constant(doc), None, None, params.doc_readers[0], dmask)
+        q0 = bigru(ref.constant(qry), None, None, params.qry_readers[0], qmask)
+        qf = final_states(q0)
         e = ref.matmul(d0, ref.transpose_last2(q0))
         a_d = ref.masked_softmax(e, qmask[:, None, :])
         a_q = ref.masked_softmax(ref.transpose_last2(e), dmask[:, None, :])
         u = ref.mul(d0, ref.matmul(a_d, q0))
         v = ref.mul(q0, ref.matmul(a_q, d0))
-        d1, _ = bigru(u, None, None, params.doc_readers[1], dmask)
-        q1, _ = bigru(v, qf[0], qf[1], params.qry_readers[1], qmask)
+        d1 = bigru(u, None, None, params.doc_readers[1], dmask)
+        q1 = bigru(v, qf[0], qf[1], params.qry_readers[1], qmask)
         np.testing.assert_allclose(energies[0], e.data, atol=1e-14)
         np.testing.assert_allclose(d1_got.data, d1.data, atol=1e-13)
         np.testing.assert_allclose(q1_got.data, q1.data, atol=1e-13)
@@ -239,15 +240,43 @@ class TestEncodeFull:
         with pytest.raises(ContractViolation, match="qe"):
             encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
 
+    @staticmethod
+    def one_round_per_preset():
+        """Each preset's final readings after one round. The input width
+        equals hidden, so every reading has the same shape under every
+        preset and all six draw identical parameters from one seed."""
+        rng = np.random.default_rng(23)
+        doc, qry = random_embeddings(rng, 2, 6, 4, 8)
+        dmask = suffix_mask(rng, 2, 6)
+        qmask = suffix_mask(rng, 2, 4)
+        readings, weights = {}, {}
+        for name in sorted(ABLATION_PRESETS):
+            cfg = ReaderConfig.from_preset(name, hops=1, hidden=8, qe_comm=False)
+            params = ReaderParams.create(np.random.default_rng(99), cfg, 8)
+            tape = Tape()
+            doc_enc, qry_enc, _ = encode_full(
+                tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask
+            )
+            readings[name] = (doc_enc.data, qry_enc.data)
+            weights[name] = [p.data for p in params.parameters()]
+        return readings, weights
+
     @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
     def test_every_preset_runs_and_differs_where_expected(self, preset):
-        rng = np.random.default_rng(23)
-        cfg = ReaderConfig.from_preset(preset, hops=2, hidden=8, qe_comm=False)
-        params = ReaderParams.create(np.random.default_rng(99), cfg, 5)
-        doc, qry = random_embeddings(rng, 1, 6, 4, 5)
-        tape = Tape()
-        doc_enc, qry_enc, _ = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
-        assert np.isfinite(doc_enc.data).all() and np.isfinite(qry_enc.data).all()
+        # After one round the document reading has seen only reading 0,
+        # which no switch touches; the query reading differs between any
+        # two presets, since each pair differs in the query reading's
+        # input (gated, previous reading or raw embeddings) or its
+        # initial states.
+        readings, weights = self.one_round_per_preset()
+        doc_enc, qry_enc = readings[preset]
+        assert np.isfinite(doc_enc).all() and np.isfinite(qry_enc).all()
+        for other, (other_doc, other_qry) in readings.items():
+            for mine, theirs in zip(weights[preset], weights[other]):
+                np.testing.assert_array_equal(mine, theirs)
+            np.testing.assert_array_equal(doc_enc, other_doc)
+            if other != preset:
+                assert not np.allclose(qry_enc, other_qry), (preset, other)
 
     def test_flags_off_matches_independent_reference(self):
         rng = np.random.default_rng(24)
