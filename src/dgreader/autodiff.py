@@ -604,9 +604,9 @@ def bigru(
     w_in, w_hid, bias = (tape.watch(p) for p in params.parameters())
     # u[g, d] is gate g's (n, n) block of direction d.
     u = w_hid.data.reshape(2, n, 3, n).transpose(2, 0, 1, 3)
-    proj = (x.data.reshape(batch * steps, width) @ w_in.data + bias.data).reshape(
-        batch, steps, 2, 3, n
-    )
+    proj = x.data.reshape(batch * steps, width) @ w_in.data
+    proj += bias.data  # in place: no second array as large as proj
+    proj = proj.reshape(batch, steps, 2, 3, n)
     if mask is not None:
         # A padded position shuts the update gate in both directions:
         # tanh(-inf) = -1 below gives z = 0 exactly, so h[t] = h[t-1] and

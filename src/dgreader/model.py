@@ -19,27 +19,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor
-from .corpus import ClozeSample, Vocabulary
+from .corpus import PAD_ID, PLACEHOLDER, ClozeSample, Vocabulary
 from .embed import EmbedConfig, TokenEmbedder, char_id_matrix
 from .errors import ContractViolation, NumericalError
-from .ranker import PredictionDistribution, find_occurrences, predict
-from .reader import ReaderConfig, ReaderParams, encode_full, qe_comm_features
+from .ranker import PredictionDistribution, predict
+from .reader import ReaderConfig, ReaderParams, encode_full
 
 
 @dataclass
 class Batch:
-    doc_ids: np.ndarray  # (B, n) int64
+    doc_ids: np.ndarray  # (B, n) int64 word ids, PAD_ID on padding
     doc_mask: np.ndarray  # (B, n) 0/1
-    doc_types: np.ndarray  # (B, n) int64 row of each position's type in char_ids
+    doc_types: np.ndarray  # (B, n) int64 row of each position's type in char_ids, 0 on padding
     qry_ids: np.ndarray  # (B, m)
     qry_mask: np.ndarray
     qry_types: np.ndarray  # (B, m)
     char_ids: np.ndarray  # (U, Lc) characters of the batch's U distinct types
     char_mask: np.ndarray  # (U, Lc) 0/1
     ph_idx: np.ndarray  # (B,) placeholder position per sample
-    occurrence: np.ndarray  # (B, g_max, n) 0/1 candidate occurrence rows
+    occurrence: np.ndarray  # (B, g_max, n) 0/1 per candidate, zero rows past a sample's own
     answer_idx: np.ndarray  # (B,) row into the candidate list, -1 if unlabeled
-    qe: np.ndarray  # (B, n) query-occurrence feature
+    qe: np.ndarray  # (B, n) 0/1: the token occurs in the query, the placeholder never
     samples: list[ClozeSample]
 
 
@@ -48,46 +48,59 @@ def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
 
     Type rows are numbered in order of first appearance (each sample's
     document, then its query), so a batch's layout depends only on its
-    samples. Padding positions point at row 0; the embedder zeroes them
-    with the token mask.
+    samples. That numbering is the only pass over the tokens; every
+    other field is read off the type rows with array operations. Padding
+    positions point at row 0; the embedder zeroes them with the token
+    mask. Occurrence row g of sample b marks the document positions of
+    its g-th candidate, and rows past its candidates stay zero. The qe
+    feature marks the document tokens that occur in the sample's own
+    query; the placeholder never counts. A candidate that does not occur
+    in its own document raises ContractViolation naming the sample and
+    the candidate.
     """
     if not samples:
         raise ContractViolation("cannot assemble an empty batch")
-    n = max(len(s.document) for s in samples)
-    m = max(len(s.query) for s in samples)
-    g = max(len(s.candidates) for s in samples)
     batch = len(samples)
-
-    doc_ids = np.zeros((batch, n), dtype=np.int64)
-    doc_mask = np.zeros((batch, n))
-    qry_ids = np.zeros((batch, m), dtype=np.int64)
-    qry_mask = np.zeros((batch, m))
-    doc_types = np.zeros((batch, n), dtype=np.int64)
-    qry_types = np.zeros((batch, m), dtype=np.int64)
+    lengths = np.array([(len(s.document), len(s.query), len(s.candidates)) for s in samples])
+    doc_real, qry_real, cand_real = (
+        np.arange(top) < lengths[:, [i]] for i, top in enumerate(lengths.max(axis=0))
+    )
     types: dict[str, int] = {}
-    ph_idx = np.zeros(batch, dtype=np.int64)
-    occurrence = np.zeros((batch, g, n))
-    answer_idx = np.full(batch, -1, dtype=np.int64)
-    qe = np.zeros((batch, n))
+    doc_rows: list[int] = []
+    qry_rows: list[int] = []
+    for s in samples:
+        doc_rows.extend([types.setdefault(t, len(types)) for t in s.document])
+        qry_rows.extend([types.setdefault(t, len(types)) for t in s.query])
+    doc_types = np.zeros(doc_real.shape, dtype=np.int64)
+    doc_types[doc_real] = doc_rows
+    qry_types = np.zeros(qry_real.shape, dtype=np.int64)
+    qry_types[qry_real] = qry_rows
+    word_ids = np.array([vocab.word_id(t) for t in types], dtype=np.int64)
 
-    for b, s in enumerate(samples):
-        dn, qm = len(s.document), len(s.query)
-        doc_ids[b, :dn] = [vocab.word_id(t) for t in s.document]
-        doc_mask[b, :dn] = 1.0
-        qry_ids[b, :qm] = [vocab.word_id(t) for t in s.query]
-        qry_mask[b, :qm] = 1.0
-        doc_types[b, :dn] = [types.setdefault(t, len(types)) for t in s.document]
-        qry_types[b, :qm] = [types.setdefault(t, len(types)) for t in s.query]
-        ph_idx[b] = s.placeholder_index
-        occ = find_occurrences(s.document, s.candidates)
-        occurrence[b, : len(s.candidates), :dn] = occ.matrix(dn, s.candidates)
-        if s.answer is not None:
-            answer_idx[b] = s.candidates.index(s.answer)
-        qe[b, :dn] = qe_comm_features(s.document, s.query)
+    # -1 matches no type row, so padded candidate rows stay zero.
+    cand_types = np.full(cand_real.shape, -1, dtype=np.int64)
+    cand_types[cand_real] = [types.get(c, -1) for s in samples for c in s.candidates]
+    hits = (cand_types[:, :, None] == doc_types[:, None, :]) & doc_real[:, None, :]
+    missing = np.argwhere(cand_real & ~hits.any(axis=2))
+    if len(missing):
+        b, g = missing[0]
+        raise ContractViolation(
+            f"batch sample {b}: candidate {samples[b].candidates[g]!r} does not occur in "
+            f"its document"
+        )
+    in_query = np.zeros((batch, len(types)), dtype=bool)
+    in_query[np.nonzero(qry_real)[0], qry_rows] = True
+    in_query[:, types.get(PLACEHOLDER, [])] = False  # the placeholder never counts
+    qe = in_query[np.arange(batch)[:, None], doc_types] & doc_real
+
+    answers = [-1 if s.answer is None else s.candidates.index(s.answer) for s in samples]
     char_ids, char_mask = char_id_matrix(vocab, list(types))
     return Batch(
-        doc_ids, doc_mask, doc_types, qry_ids, qry_mask, qry_types, char_ids, char_mask,
-        ph_idx, occurrence, answer_idx, qe, list(samples),
+        np.where(doc_real, word_ids[doc_types], PAD_ID), doc_real.astype(np.float64), doc_types,
+        np.where(qry_real, word_ids[qry_types], PAD_ID), qry_real.astype(np.float64), qry_types,
+        char_ids, char_mask, np.array([s.placeholder_index for s in samples], dtype=np.int64),
+        hits.astype(np.float64), np.array(answers, dtype=np.int64), qe.astype(np.float64),
+        list(samples),
     )
 
 
@@ -181,18 +194,21 @@ class Model:
         trimmed to each sample's candidates in the order of
         sample.candidates. A row that is not finite or has no mass
         (every candidate position underflowed) raises NumericalError
-        naming its sample."""
-        out = []
-        for b, sample in enumerate(batch.samples):
-            row = result.cand_probs.data[b, : len(sample.candidates)]
-            if not (np.isfinite(row).all() and row.sum() > 0.0):
-                raise NumericalError(
-                    f"batch sample {b} (candidates {sample.candidates}): candidate "
-                    f"probabilities {row.tolist()} are not finite or have zero mass"
-                )
-            probs = dict(zip(sample.candidates, row.tolist()))
-            out.append(PredictionDistribution(probs, predict(probs)))
-        return out
+        naming its sample; padding past a sample's candidates is not
+        read."""
+        probs = result.cand_probs.data
+        counts = [len(s.candidates) for s in batch.samples]
+        own = np.arange(probs.shape[1]) < np.array(counts)[:, None]
+        ok = np.where(own, np.isfinite(probs), True).all(axis=1)
+        ok &= np.where(own, probs, 0.0).sum(axis=1) > 0.0
+        if not ok.all():
+            b = int(np.argmin(ok))
+            raise NumericalError(
+                f"batch sample {b} (candidates {batch.samples[b].candidates}): candidate "
+                f"probabilities {probs[b, : counts[b]].tolist()} are not finite or have zero mass"
+            )
+        rows = [dict(zip(s.candidates, row)) for s, row in zip(batch.samples, probs.tolist())]
+        return [PredictionDistribution(row, predict(row)) for row in rows]
 
     def encode_sample(
         self, sample: ClozeSample

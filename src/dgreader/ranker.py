@@ -4,18 +4,18 @@ The model ranks candidates by pointer-sum attention, computed for a
 whole batch in `Model.forward_batch`: a softmax over document positions
 of the dot product between each final document state and the final
 query state at the placeholder, summed over each candidate's occurrence
-positions through the 0/1 matrix built here, and renormalized over the
-candidate set. `predict` picks the most probable candidate, exact ties
-going to the lexicographically smallest. The scalar per-position
-version of the same ranking is the oracle in tests/oracles.py.
+positions through the 0/1 occurrence matrix that `model.assemble_batch`
+builds, and renormalized over the candidate set. `predict` picks the
+most probable candidate, exact ties going to the lexicographically
+smallest. `find_occurrences` lists one sample's candidate positions for
+attention analysis. The scalar per-position version of the ranking is
+the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ContractViolation, ParseError
 
@@ -25,14 +25,6 @@ class CandidateOccurrences:
     """Ascending occurrence positions per candidate."""
 
     positions: dict[str, list[int]]
-
-    def matrix(self, doc_len: int, order: list[str]) -> np.ndarray:
-        """0/1 matrix (num candidates, doc_len) in the given candidate
-        order, for batched aggregation."""
-        out = np.zeros((len(order), doc_len))
-        for row, cand in enumerate(order):
-            out[row, self.positions[cand]] = 1.0
-        return out
 
 
 def find_occurrences(document: list[str], candidates: list[str]) -> CandidateOccurrences:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import BiGRUParams, Parameter, Tensor, bigru, final_states
-from .corpus import PLACEHOLDER
 from .errors import ConfigError, ContractViolation, DimensionError
 
 # Ablation switch combinations reachable from the full model, by preset
@@ -105,15 +104,6 @@ class ReaderParams:
             doc.append(BiGRUParams.create(rng, f"reader.doc{s}", doc_in, half))
             qry.append(BiGRUParams.create(rng, f"reader.qry{s}", qry_in, half))
         return ReaderParams(doc, qry)
-
-
-def qe_comm_features(doc_tokens: list[str], qry_tokens: list[str]) -> np.ndarray:
-    """0/1 per document token: does it occur in the query? The
-    placeholder never matches, on either side."""
-    wanted = {t for t in qry_tokens if t != PLACEHOLDER}
-    return np.array(
-        [1.0 if t != PLACEHOLDER and t in wanted else 0.0 for t in doc_tokens]
-    )
 
 
 def attend(scores: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:

@@ -10,14 +10,18 @@ embedder against the cell chain. `token_distribution`,
 one unpadded sample: each candidate's mass is accumulated position by
 position in ascending order. They are the reference for the batched
 `cand_probs` that the model's forward computes as one matrix product.
+`occurrence_matrix`, `qe_comm_features` and `assemble_per_sample` build
+a model.Batch one sample and one token at a time; they are the
+reference for `assemble_batch`'s array operations over the type table.
 """
 
 import numpy as np
 
 from dgreader.autodiff import BiGRUParams, Tape, Tensor
-from dgreader.corpus import PAD_ID
+from dgreader.corpus import PAD_ID, PLACEHOLDER
 from dgreader.embed import TokenEmbedder, char_id_matrix
 from dgreader.errors import ContractViolation, DimensionError
+from dgreader.model import Batch
 from dgreader.ranker import CandidateOccurrences, PredictionDistribution, find_occurrences, predict
 
 
@@ -197,3 +201,60 @@ def rank(
     y = token_distribution(doc_enc, qry_enc, placeholder_index, doc_mask)
     probs = aggregate_candidates(y, find_occurrences(document, candidates))
     return PredictionDistribution(probs, predict(probs))
+
+
+def occurrence_matrix(
+    occurrences: CandidateOccurrences, doc_len: int, order: list[str]
+) -> np.ndarray:
+    """0/1 matrix (num candidates, doc_len) in the given candidate order."""
+    out = np.zeros((len(order), doc_len))
+    for row, cand in enumerate(order):
+        out[row, occurrences.positions[cand]] = 1.0
+    return out
+
+
+def qe_comm_features(doc_tokens: list[str], qry_tokens: list[str]) -> np.ndarray:
+    """0/1 per document token: does it occur in the query? The
+    placeholder never matches, on either side."""
+    wanted = {t for t in qry_tokens if t != PLACEHOLDER}
+    return np.array([1.0 if t != PLACEHOLDER and t in wanted else 0.0 for t in doc_tokens])
+
+
+def assemble_per_sample(samples, vocab) -> Batch:
+    """model.Batch filled sample by sample and token by token: type rows
+    by first appearance (each document, then its query), occurrence rows
+    from find_occurrences, qe from qe_comm_features."""
+    n = max(len(s.document) for s in samples)
+    m = max(len(s.query) for s in samples)
+    g = max(len(s.candidates) for s in samples)
+    batch = len(samples)
+    doc_ids = np.zeros((batch, n), dtype=np.int64)
+    doc_mask = np.zeros((batch, n))
+    qry_ids = np.zeros((batch, m), dtype=np.int64)
+    qry_mask = np.zeros((batch, m))
+    doc_types = np.zeros((batch, n), dtype=np.int64)
+    qry_types = np.zeros((batch, m), dtype=np.int64)
+    types: dict[str, int] = {}
+    ph_idx = np.zeros(batch, dtype=np.int64)
+    occurrence = np.zeros((batch, g, n))
+    answer_idx = np.full(batch, -1, dtype=np.int64)
+    qe = np.zeros((batch, n))
+    for b, s in enumerate(samples):
+        dn, qm = len(s.document), len(s.query)
+        doc_ids[b, :dn] = [vocab.word_id(t) for t in s.document]
+        doc_mask[b, :dn] = 1.0
+        qry_ids[b, :qm] = [vocab.word_id(t) for t in s.query]
+        qry_mask[b, :qm] = 1.0
+        doc_types[b, :dn] = [types.setdefault(t, len(types)) for t in s.document]
+        qry_types[b, :qm] = [types.setdefault(t, len(types)) for t in s.query]
+        ph_idx[b] = s.placeholder_index
+        occ = find_occurrences(s.document, s.candidates)
+        occurrence[b, : len(s.candidates), :dn] = occurrence_matrix(occ, dn, s.candidates)
+        if s.answer is not None:
+            answer_idx[b] = s.candidates.index(s.answer)
+        qe[b, :dn] = qe_comm_features(s.document, s.query)
+    char_ids, char_mask = char_id_matrix(vocab, list(types))
+    return Batch(
+        doc_ids, doc_mask, doc_types, qry_ids, qry_mask, qry_types, char_ids, char_mask,
+        ph_idx, occurrence, answer_idx, qe, list(samples),
+    )

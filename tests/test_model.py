@@ -1,8 +1,8 @@
-"""End-to-end model tests: batch assembly and its type table, the
-batched candidate distribution against the scalar ranker oracle, the type
-table against per-position character composition, the loss formula,
-gradient integrity on a small configuration, and invariance to batch
-composition."""
+"""End-to-end model tests: batch assembly against its per-sample
+reference, and its type table; the batched candidate distribution
+against the scalar ranker oracle, the type table against per-position
+character composition, the loss formula, gradient integrity on a small
+configuration, and invariance to batch composition."""
 
 import dataclasses
 import math
@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from dgreader.autodiff import Tape, backward
-from dgreader.corpus import ClozeSample, DatasetSplit, SynthConfig, build_vocab, generate_synthetic
+from dgreader.corpus import (
+    PLACEHOLDER, UNK_ID, ClozeSample, DatasetSplit, SynthConfig, build_vocab, generate_synthetic,
+)
 from dgreader.embed import EmbedConfig, char_id_matrix
 from dgreader.errors import ConfigError, ContractViolation, NumericalError
 from dgreader.gradcheck import check_gradients
 from dgreader.model import Batch, Model, assemble_batch
 from dgreader.reader import ABLATION_PRESETS, ReaderConfig
-from oracles import embed_sides, rank, token_distribution
+from oracles import assemble_per_sample, embed_sides, rank, token_distribution
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,64 @@ class TestBatchAssembly:
         assert batch.answer_idx[0] == -1
 
 
+def varied_corpus(seed):
+    """Seeded samples with varying document, query and candidate-list
+    lengths, candidates repeated in their document and written into
+    their query, out-of-vocabulary words and characters, the placeholder
+    in the document, and unlabeled samples."""
+    rng = np.random.default_rng(seed)
+    drawn = generate_synthetic(SynthConfig(samples=int(rng.integers(3, 9)), vocab_size=30,
+                                           doc_len=(10, 20), qry_len=(3, 8), candidates=4,
+                                           seed=900 + seed))
+    vocab = build_vocab([DatasetSplit("train", drawn)])
+    samples = []
+    for i, s in enumerate(drawn):
+        doc, qry = list(s.document), list(s.query)
+        others = [c for c in s.candidates if c != s.answer]
+        cands = [s.answer] + others[: int(rng.integers(0, len(others) + 1))]
+        free = [t for t, tok in enumerate(doc) if tok not in s.candidates]
+        doc[free[0]] = cands[-1]
+        doc[free[1]] = f"oov{i}"
+        doc[free[-1]] = PLACEHOLDER  # never a qe match, though every query holds it
+        qry[0 if s.placeholder_index else -1] = cands[0]
+        qry.insert(s.placeholder_index + 1, "ünseen")
+        answer = None if i % 3 == 1 else s.answer
+        samples.append(ClozeSample(doc, qry, cands, answer, s.placeholder_index).validate())
+    return samples, vocab
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_field_matches_per_sample_reference(self, seed):
+        samples, vocab = varied_corpus(seed)
+        assert len({len(s.document) for s in samples}) > 1
+        assert len({len(s.query) for s in samples}) > 1
+        assert len({len(s.candidates) for s in samples}) > 1
+        assert any(s.answer is None for s in samples)
+        for group in (samples, samples[:1], samples[-1:], samples[1:3]):
+            got, want = assemble_batch(group, vocab), assemble_per_sample(group, vocab)
+            assert (got.doc_ids == UNK_ID).any() and (got.qry_ids == UNK_ID).any()
+            assert got.qe.any() and (got.occurrence.sum(axis=2) >= 2).any()
+            assert got.samples == want.samples
+            for field in dataclasses.fields(Batch):
+                if field.name != "samples":
+                    np.testing.assert_array_equal(
+                        getattr(got, field.name), getattr(want, field.name),
+                        err_msg=field.name, strict=True,
+                    )
+
+    def test_candidate_missing_from_its_own_document_is_named(self, small_world):
+        split, vocab = small_world
+        first, second = split.samples[:2]
+        elsewhere = next(t for t in first.document if t not in second.document)
+        for missing in (elsewhere, "nowhere"):
+            # built without validate(), which would reject it
+            bad = dataclasses.replace(second, candidates=second.candidates + [missing])
+            with pytest.raises(ContractViolation,
+                               match=rf"batch sample 1: candidate '{missing}' does not occur"):
+                assemble_batch([first, bad], vocab)
+
+
 class TestForward:
     def test_output_shapes_and_simplex(self, small_world):
         split, vocab = small_world
@@ -161,6 +221,22 @@ class TestForward:
         else:
             out.cand_probs.data[1] = 0.0
         with pytest.raises(NumericalError, match="batch sample 1 "):
+            model.predict_batch(out, batch)
+
+    def test_row_check_reads_only_each_samples_own_candidates(self, repeated_world):
+        # samples 1 and 3 have two candidates and a padded third column
+        samples, vocab = repeated_world
+        model = small_model(vocab)
+        batch = assemble_batch(samples[:4], vocab)
+        out = model.forward_batch(batch)
+        out.cand_probs.data[1, 2] = np.nan
+        out.cand_probs.data[3, 2] = np.inf
+        assert len(model.predict_batch(out, batch)) == 4
+        out.cand_probs.data[3, :2] = 0.0  # zero mass
+        with pytest.raises(NumericalError, match=r"batch sample 3 \(candidates"):
+            model.predict_batch(out, batch)
+        out.cand_probs.data[2, 1] = np.nan  # the first bad row is named
+        with pytest.raises(NumericalError, match=r"batch sample 2 \(candidates"):
             model.predict_batch(out, batch)
 
     def test_predict_batch_matches_batches_of_one(self, small_world):

@@ -19,7 +19,7 @@ from dgreader.ranker import (
     predict,
     prediction_record,
 )
-from oracles import aggregate_candidates, rank, token_distribution
+from oracles import aggregate_candidates, occurrence_matrix, rank, token_distribution
 
 
 def scalar_distribution(doc_enc, q, mask):
@@ -97,7 +97,7 @@ class TestOccurrences:
 
     def test_matrix_layout(self):
         occ = CandidateOccurrences({"x": [1], "y": [0, 2]})
-        m = occ.matrix(4, ["y", "x"])
+        m = occurrence_matrix(occ, 4, ["y", "x"])
         np.testing.assert_array_equal(m, [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
