@@ -5,7 +5,10 @@ generation, training, evaluation, prediction dumps, finite-difference
 gradient checking, post-hoc analysis and the rule-based solver.
 
 Configuration is a flat "key = value" file, overridable per invocation
-with --set and the ablation presets. Every command that writes files
+with --set and the ablation presets. The embed.* keys but embed.vectors,
+and the reader.* and hp.* keys, are the fields of EmbedConfig,
+ReaderConfig and HyperParams; a command that builds a model validates
+all three before it writes anything. Every command that writes files
 also writes the fully resolved configuration next to them, so a run can
 be reproduced from its artifacts alone.
 
@@ -48,36 +51,42 @@ from .model import Model, assemble_batch
 from .ranker import dump_predictions, load_predictions, prediction_record
 from .reader import ABLATION_PRESETS, ReaderConfig
 from .rulekit import disambiguate, evaluate_rule_coverage
-from .trainer import HyperParams, evaluate, train
+from .trainer import HyperParams, evaluate, make_batches, train
+
+# Config sections whose keys are the fields of a dataclass, named
+# `<section>.<field>`; HyperParams.seed is the top-level `seed` key.
+SECTIONS = {"embed": EmbedConfig, "reader": ReaderConfig, "hp": HyperParams}
+
+# The CLI defaults to quickstart widths; the dataclasses keep paper-like ones.
+QUICKSTART_WIDTHS = {
+    "embed.word_dim": 16,
+    "embed.char_dim": 8,
+    "embed.char_hidden": 8,
+    "embed.char_out": 8,
+    "reader.hidden": 32,
+}
+
+
+def _field_key(section: str, name: str) -> str:
+    return name if name == "seed" else f"{section}.{name}"
+
 
 CONFIG_DEFAULTS = {
+    # an optional field's unset value, None, is written as 0.0
+    **{
+        _field_key(section, f.name): 0.0 if f.default is None else f.default
+        for section, cls in SECTIONS.items()
+        for f in dataclasses.fields(cls)
+    },
+    **QUICKSTART_WIDTHS,
+    # keys no dataclass holds; `seed` also seeds initialization and sets HyperParams.seed
     "seed": 0,
     "data.format": "jsonl",
     "data.lowercase": True,
     "data.train": "",
     "data.dev": "",
     "vocab.min_count": 1,
-    "embed.word_dim": 16,
-    "embed.char_dim": 8,
-    "embed.char_hidden": 8,
-    "embed.char_out": 8,
     "embed.vectors": "",
-    "reader.hops": 2,
-    "reader.hidden": 32,
-    "reader.query_gating": True,
-    "reader.dependent_query": True,
-    "reader.carry_query_state": True,
-    "reader.qe_comm": True,
-    "hp.lr": 0.0005,
-    "hp.dropout": 0.0,
-    "hp.batch_size": 32,
-    "hp.epochs": 10,
-    "hp.patience": 5,
-    "hp.beta1": 0.9,
-    "hp.beta2": 0.999,
-    "hp.eps": 1e-8,
-    "hp.grad_clip": 0.0,
-    "hp.target_train_acc": 0.0,
 }
 
 SNAPSHOT_NAME = "config.txt"
@@ -133,15 +142,9 @@ def resolve_config(args) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config))
-    preset = getattr(args, "preset", None)
-    if preset:
-        if preset not in ABLATION_PRESETS:
-            known = ", ".join(sorted(ABLATION_PRESETS))
-            raise ConfigError(f"unknown preset {preset!r}; choose one of {known}")
-        a, b, c = ABLATION_PRESETS[preset]
-        cfg["reader.query_gating"] = a
-        cfg["reader.dependent_query"] = b
-        cfg["reader.carry_query_state"] = c
+    if getattr(args, "preset", None):
+        for name, value in ABLATION_PRESETS[args.preset].items():
+            cfg[f"reader.{name}"] = value
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -160,40 +163,20 @@ def write_snapshot(cfg: dict, out_dir: Path) -> None:
     (out_dir / SNAPSHOT_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def reader_from_config(cfg: dict) -> ReaderConfig:
-    return ReaderConfig(
-        hops=cfg["reader.hops"],
-        hidden=cfg["reader.hidden"],
-        query_gating=cfg["reader.query_gating"],
-        dependent_query=cfg["reader.dependent_query"],
-        carry_query_state=cfg["reader.carry_query_state"],
-        qe_comm=cfg["reader.qe_comm"],
-    ).validate()
-
-
-def embed_from_config(cfg: dict) -> EmbedConfig:
-    return EmbedConfig(
-        word_dim=cfg["embed.word_dim"],
-        char_dim=cfg["embed.char_dim"],
-        char_hidden=cfg["embed.char_hidden"],
-        char_out=cfg["embed.char_out"],
-    )
-
-
-def hp_from_config(cfg: dict) -> HyperParams:
-    return HyperParams(
-        lr=cfg["hp.lr"],
-        dropout=cfg["hp.dropout"],
-        batch_size=cfg["hp.batch_size"],
-        epochs=cfg["hp.epochs"],
-        beta1=cfg["hp.beta1"],
-        beta2=cfg["hp.beta2"],
-        eps=cfg["hp.eps"],
-        patience=cfg["hp.patience"],
-        seed=cfg["seed"],
-        grad_clip=cfg["hp.grad_clip"] or None,
-        target_train_acc=cfg["hp.target_train_acc"] or None,
-    ).validate()
+def config_objects(cfg: dict) -> tuple[EmbedConfig, ReaderConfig, HyperParams]:
+    """Each section's dataclass, built from the resolved config and
+    validated; a rejected value is reported under its config key."""
+    objects = []
+    for section, cls in SECTIONS.items():
+        values = {}
+        for f in dataclasses.fields(cls):
+            value = cfg[_field_key(section, f.name)]
+            values[f.name] = None if f.default is None and value == 0.0 else value
+        try:
+            objects.append(cls(**values).validate())
+        except ConfigError as exc:
+            raise ConfigError(f"config key {_field_key(section, exc.field)}: {exc}") from None
+    return tuple(objects)
 
 
 def load_split(path, cfg: dict, lowercase: bool | None = None):
@@ -208,14 +191,17 @@ def load_split(path, cfg: dict, lowercase: bool | None = None):
     raise ConfigError(f"config key data.format: unknown format {cfg['data.format']!r}")
 
 
-def build_model(cfg: dict, vocab, rng: np.random.Generator) -> Model:
+def build_model(cfg: dict, vocab, embed_cfg: EmbedConfig, reader_cfg: ReaderConfig) -> Model:
+    rng = np.random.default_rng([cfg["seed"], 5])
     word_table = None
     if cfg["embed.vectors"]:
+        if not Path(cfg["embed.vectors"]).exists():
+            raise ConfigError(f"config key embed.vectors: file not found: {cfg['embed.vectors']}")
         word_table, coverage = load_pretrained_vectors(
-            cfg["embed.vectors"], vocab, cfg["embed.word_dim"], rng
+            cfg["embed.vectors"], vocab, embed_cfg.word_dim, rng
         )
         print(f"pretrained vectors cover {coverage:.1%} of the vocabulary", file=sys.stderr)
-    return Model(vocab, embed_from_config(cfg), reader_from_config(cfg), rng, word_table)
+    return Model(vocab, embed_cfg, reader_cfg, rng, word_table)
 
 
 def _require(args, flag: str):
@@ -239,51 +225,44 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen_synth(args) -> int:
-    out = _out_dir(args)
     synth = SynthConfig(
         samples=args.samples,
         vocab_size=args.vocab_size,
-        doc_len=(args.doc_len[0], args.doc_len[1]),
-        qry_len=(args.qry_len[0], args.qry_len[1]),
+        doc_len=tuple(args.doc_len),
+        qry_len=tuple(args.qry_len),
         candidates=args.candidates,
         seed=args.seed,
     )
     samples = generate_synthetic(synth)
+    out = _out_dir(args)
     dump_jsonl(samples, out / "synth.jsonl")
-    settings = {
-        "samples": synth.samples,
-        "vocab_size": synth.vocab_size,
-        "doc_len": list(synth.doc_len),
-        "qry_len": list(synth.qry_len),
-        "candidates": synth.candidates,
-        "seed": synth.seed,
-    }
-    (out / "synth_config.json").write_text(json.dumps(settings) + "\n", encoding="utf-8")
+    settings = json.dumps(dataclasses.asdict(synth))
+    (out / "synth_config.json").write_text(settings + "\n", encoding="utf-8")
     print(f"wrote {len(samples)} samples to {out / 'synth.jsonl'}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    out = _out_dir(args)
-    if not cfg["data.train"]:
-        raise ConfigError("config key data.train is required for train")
-    if not cfg["data.dev"]:
-        raise ConfigError("config key data.dev is required for train")
+    embed_cfg, reader_cfg, hp = config_objects(cfg)
+    for key in ("data.train", "data.dev"):
+        if not cfg[key]:
+            raise ConfigError(f"config key {key} is required for train")
     train_samples = load_split(cfg["data.train"], cfg)
     dev_samples = load_split(cfg["data.dev"], cfg)
     vocab = build_vocab(
         [DatasetSplit("train", train_samples), DatasetSplit("dev", dev_samples)],
         min_count=cfg["vocab.min_count"],
     )
-    model = build_model(cfg, vocab, np.random.default_rng([cfg["seed"], 5]))
+    model = build_model(cfg, vocab, embed_cfg, reader_cfg)
+    out = _out_dir(args)
     write_snapshot(cfg, out)
     save_vocab(vocab, out / "vocab.txt")
     result = train(
         model,
         train_samples,
         dev_samples,
-        hp_from_config(cfg),
+        hp,
         log_path=out / "train_log.csv",
         checkpoint_path=out / "model.ckpt",
     )
@@ -301,16 +280,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(args, cfg) -> tuple[Model, Path]:
+def _restore_model(args, cfg) -> Model:
+    embed_cfg, reader_cfg, _ = config_objects(cfg)
     ckpt = _require_file(args, "--checkpoint")
-    vocab_path = _require_file(args, "--vocab")
-    vocab = load_vocab(vocab_path)
-    model = Model(
-        vocab,
-        embed_from_config(cfg),
-        reader_from_config(cfg),
-        np.random.default_rng([cfg["seed"], 5]),
-    )
+    vocab = load_vocab(_require_file(args, "--vocab"))
+    model = Model(vocab, embed_cfg, reader_cfg, np.random.default_rng([cfg["seed"], 5]))
     try:
         restore_parameters(model.parameters(), load_checkpoint(ckpt))
     except ContractViolation as exc:
@@ -318,12 +292,12 @@ def _restore_model(args, cfg) -> tuple[Model, Path]:
             f"{exc}; the resolved config must match the training run, "
             f"pass --config <run>/{SNAPSHOT_NAME}"
         ) from exc
-    return model, ckpt
+    return model
 
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
-    model, _ = _restore_model(args, cfg)
+    model = _restore_model(args, cfg)
     samples = load_split(_require_file(args, "--data"), cfg)
     result = evaluate(model, samples, cfg["hp.batch_size"])
     print(json.dumps({"accuracy": result.accuracy, "nll": result.nll, "count": result.count}))
@@ -332,21 +306,20 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = resolve_config(args)
-    model, _ = _restore_model(args, cfg)
+    model = _restore_model(args, cfg)
     samples = load_split(_require_file(args, "--data"), cfg)
-    out = _out_dir(args)
     records = []
-    for start in range(0, len(samples), cfg["hp.batch_size"]):
-        chunk = samples[start:start + cfg["hp.batch_size"]]
+    for chunk in make_batches(samples, cfg["hp.batch_size"]):
         batch = assemble_batch(chunk, model.vocab)
         dists = model.predict_batch(model.forward_batch(batch), batch)
-        for offset, (sample, dist) in enumerate(zip(chunk, dists)):
+        for sample, dist in zip(chunk, dists):
             records.append(
                 prediction_record(
-                    str(start + offset), dist, sample.answer,
+                    str(len(records)), dist, sample.answer,
                     len(sample.document), len(sample.query),
                 )
             )
+    out = _out_dir(args)
     write_snapshot(cfg, out)
     dump_predictions(records, out / "predictions.jsonl")
     correct = [r["correct"] for r in records if r["correct"] is not None]
@@ -359,6 +332,7 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = resolve_config(args)
+    _, reader_cfg, _ = config_objects(cfg)
     samples = generate_synthetic(
         SynthConfig(samples=2, vocab_size=16, doc_len=(7, 10), qry_len=(4, 5),
                     candidates=3, seed=cfg["seed"])
@@ -367,7 +341,7 @@ def cmd_gradcheck(args) -> int:
     model = Model(
         vocab,
         EmbedConfig(word_dim=3, char_dim=3, char_hidden=4, char_out=6),
-        dataclasses.replace(reader_from_config(cfg), hidden=8),
+        dataclasses.replace(reader_cfg, hidden=8),
         np.random.default_rng([cfg["seed"], 5]),
     )
     batch = assemble_batch(samples, vocab)
@@ -405,7 +379,7 @@ def cmd_analyze_length(args) -> int:
 
 def cmd_analyze_attention(args) -> int:
     cfg = resolve_config(args)
-    model, _ = _restore_model(args, cfg)
+    model = _restore_model(args, cfg)
     samples = load_split(_require_file(args, "--data"), cfg)
     if not 0 <= args.index < len(samples):
         raise ConfigError(f"--index {args.index} outside the split (size {len(samples)})")

@@ -387,6 +387,12 @@ def generate_synthetic(config: SynthConfig) -> list[ClozeSample]:
         raise ConfigError("qry_len minimum must be at least 2")
     if config.samples < 1:
         raise ConfigError("samples must be positive")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {config.seed}")
+    for name in ("doc_len", "qry_len"):
+        lo, hi = getattr(config, name)
+        if lo > hi:
+            raise ConfigError(f"{name} minimum {lo} exceeds its maximum {hi}")
 
     types = [f"w{i:02d}" for i in range(config.vocab_size)]
     cand_pool = types[:pool]

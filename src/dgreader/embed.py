@@ -19,13 +19,13 @@ space-separated float components.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .autodiff import BiGRUParams, Parameter, Tape, Tensor, bigru, final_states, glorot
 from .corpus import PAD_ID, Vocabulary
-from .errors import ContractViolation, DimensionError, ParseError
+from .errors import ConfigError, ContractViolation, DimensionError, ParseError
 
 INIT_RANGE = 0.05
 
@@ -36,6 +36,12 @@ class EmbedConfig:
     char_dim: int = 16
     char_hidden: int = 25
     char_out: int = 50
+
+    def validate(self) -> "EmbedConfig":
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}", f.name)
+        return self
 
     @property
     def token_dim(self) -> int:

@@ -6,7 +6,13 @@ Exit-code mapping used by the CLI: ConfigError -> 1, ContractViolation
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
+    """Invalid or inconsistent run configuration. `field` names the
+    config dataclass field at fault, when there is one, so the CLI can
+    report the value under its config key."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ContractViolation(ValueError):

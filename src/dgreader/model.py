@@ -133,6 +133,7 @@ class Model:
         rng: np.random.Generator,
         word_table: Parameter | None = None,
     ):
+        embed_cfg.validate()
         reader_cfg.validate()
         self.vocab = vocab
         self.embed_cfg = embed_cfg

@@ -35,15 +35,14 @@ import numpy as np
 from .autodiff import BiGRUParams, Parameter, Tensor, bigru, final_states
 from .errors import ConfigError, ContractViolation, DimensionError
 
-# Ablation switch combinations reachable from the full model, by preset
-# name: (query_gating, dependent_query, carry_query_state).
-ABLATION_PRESETS: dict[str, tuple[bool, bool, bool]] = {
-    "dgr": (True, True, True),
-    "no-a": (False, True, True),
-    "no-c": (True, True, False),
-    "no-ab": (False, False, True),
-    "no-ac": (False, True, False),
-    "ga-reader": (False, False, False),
+# Ablation switch values reachable from the full model, by preset name.
+ABLATION_PRESETS: dict[str, dict[str, bool]] = {
+    "dgr": dict(query_gating=True, dependent_query=True, carry_query_state=True),
+    "no-a": dict(query_gating=False, dependent_query=True, carry_query_state=True),
+    "no-c": dict(query_gating=True, dependent_query=True, carry_query_state=False),
+    "no-ab": dict(query_gating=False, dependent_query=False, carry_query_state=True),
+    "no-ac": dict(query_gating=False, dependent_query=True, carry_query_state=False),
+    "ga-reader": dict(query_gating=False, dependent_query=False, carry_query_state=False),
 }
 
 
@@ -58,13 +57,14 @@ class ReaderConfig:
 
     def validate(self) -> "ReaderConfig":
         if self.hops < 1:
-            raise ConfigError(f"hops must be >= 1, got {self.hops}")
+            raise ConfigError(f"hops must be >= 1, got {self.hops}", "hops")
         if self.hidden < 2 or self.hidden % 2:
-            raise ConfigError(f"hidden must be a positive even width, got {self.hidden}")
+            raise ConfigError(f"hidden must be a positive even width, got {self.hidden}", "hidden")
         if self.query_gating and not self.dependent_query:
             raise ConfigError(
                 "query_gating requires dependent_query: gated query states have "
-                "nowhere to go when the next reading re-reads raw embeddings"
+                "nowhere to go when the next reading re-reads raw embeddings",
+                "query_gating",
             )
         return self
 
@@ -72,10 +72,7 @@ class ReaderConfig:
     def from_preset(name: str, **overrides) -> "ReaderConfig":
         if name not in ABLATION_PRESETS:
             raise ConfigError(f"unknown preset {name!r}; choose from {sorted(ABLATION_PRESETS)}")
-        a, b, c = ABLATION_PRESETS[name]
-        return ReaderConfig(
-            query_gating=a, dependent_query=b, carry_query_state=c, **overrides
-        ).validate()
+        return ReaderConfig(**ABLATION_PRESETS[name], **overrides).validate()
 
 
 class ReaderParams:

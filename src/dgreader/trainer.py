@@ -37,24 +37,26 @@ class HyperParams:
     target_train_acc: float | None = None
 
     def validate(self) -> "HyperParams":
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ConfigError("betas must lie in (0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.grad_clip is not None and self.grad_clip <= 0.0:
-            raise ConfigError("grad_clip must be positive when set")
-        if self.target_train_acc is not None and not 0.0 < self.target_train_acc <= 1.0:
-            raise ConfigError("target_train_acc must lie in (0, 1]")
+        # comparisons with nan are false, so every range below rejects it
+        inf = math.inf
+        for name, ok, rule in (
+            ("lr", 0.0 <= self.lr < inf, "finite and non-negative"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("beta1", 0.0 < self.beta1 < 1.0, "in (0, 1)"),
+            ("beta2", 0.0 < self.beta2 < 1.0, "in (0, 1)"),
+            ("eps", 0.0 < self.eps < inf, "finite and positive"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("grad_clip", self.grad_clip is None or 0.0 < self.grad_clip < inf,
+             "finite and positive when set"),
+            ("target_train_acc",
+             self.target_train_acc is None or 0.0 < self.target_train_acc <= 1.0,
+             "in (0, 1] when set"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}", name)
         return self
 
 

@@ -1,7 +1,9 @@
 """CLI tests: config resolution and snapshots, artifact layout, exit
 code mapping, and the train-then-eval reproducibility contract."""
 
+import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -9,8 +11,11 @@ import pytest
 
 from dgreader import cli
 from dgreader.autodiff import load_checkpoint
+from dgreader.embed import EmbedConfig
 from dgreader.errors import ParseError
 from dgreader.gradcheck import GradCheckReport
+from dgreader.reader import ReaderConfig
+from dgreader.trainer import HyperParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -300,3 +305,135 @@ class TestExitCodes:
     def test_unknown_set_key_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--set", "nope=1"]) == 1
         assert "nope" in capsys.readouterr().err
+
+
+# Each config dataclass with the section its fields are keyed under.
+FIELD_SECTIONS = [(EmbedConfig, "embed"), (ReaderConfig, "reader"), (HyperParams, "hp")]
+CLI_ONLY_KEYS = {"seed", "data.format", "data.lowercase", "data.train", "data.dev",
+                 "vocab.min_count", "embed.vectors"}
+# a valid value other than the CLI default, for every dataclass-backed key
+NON_DEFAULT = {
+    "seed": 4,
+    "embed.word_dim": 5, "embed.char_dim": 3, "embed.char_hidden": 6, "embed.char_out": 7,
+    "reader.hops": 3, "reader.hidden": 10, "reader.query_gating": False,
+    "reader.dependent_query": False, "reader.carry_query_state": False,
+    "reader.qe_comm": False,
+    "hp.lr": 0.01, "hp.dropout": 0.25, "hp.batch_size": 7, "hp.epochs": 3,
+    "hp.patience": 2, "hp.beta1": 0.8, "hp.beta2": 0.99, "hp.eps": 1e-6,
+    "hp.grad_clip": 5.0, "hp.target_train_acc": 0.9,
+}
+
+
+def field_key(section, name):
+    return "seed" if (section, name) == ("hp", "seed") else f"{section}.{name}"
+
+
+def built(*argv):
+    args = cli.build_parser().parse_args(["train", "--out", "x", *argv])
+    return cli.config_objects(cli.resolve_config(args))
+
+
+class TestConfigDerivation:
+    def test_every_field_has_exactly_one_key(self):
+        field_keys = [field_key(section, f.name)
+                      for cls, section in FIELD_SECTIONS for f in dataclasses.fields(cls)]
+        assert len(set(field_keys)) == len(field_keys)
+        assert set(cli.CONFIG_DEFAULTS) == set(field_keys) | CLI_ONLY_KEYS
+
+    def test_set_reaches_every_field(self):
+        argv = []
+        for key, value in NON_DEFAULT.items():
+            assert value != cli.CONFIG_DEFAULTS[key], key
+            argv += ["--set", f"{key}={str(value).lower()}"]
+        objects = built(*argv)
+        for obj, (cls, section) in zip(objects, FIELD_SECTIONS, strict=True):
+            assert type(obj) is cls
+            for f in dataclasses.fields(cls):
+                assert getattr(obj, f.name) == NON_DEFAULT[field_key(section, f.name)], f.name
+
+    def test_defaults_are_the_dataclass_defaults_but_quickstart_widths(self):
+        embed, reader, hp = built()
+        assert embed == EmbedConfig(word_dim=16, char_dim=8, char_hidden=8, char_out=8)
+        assert reader == ReaderConfig(hidden=32)
+        assert hp == HyperParams()
+
+    def test_zero_leaves_optional_fields_unset(self):
+        _, _, hp = built("--set", "hp.grad_clip=5", "--set", "hp.grad_clip=0.0",
+                         "--set", "hp.target_train_acc=0")
+        assert hp.grad_clip is None and hp.target_train_acc is None
+
+    @pytest.mark.parametrize("preset", sorted(cli.ABLATION_PRESETS))
+    def test_preset_matches_from_preset(self, preset):
+        _, reader, _ = built("--preset", preset)
+        assert reader == ReaderConfig.from_preset(preset, hidden=32)
+
+    def test_readme_table_lists_exactly_the_keys(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        keys = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert keys == set(cli.CONFIG_DEFAULTS)
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("argv,key", [
+        (["--seed", "-1"], "seed"),
+        (["--set", "embed.char_hidden=-2"], "embed.char_hidden"),
+        (["--set", "embed.char_out=0"], "embed.char_out"),
+        (["--set", "reader.hidden=7"], "reader.hidden"),
+        (["--set", "hp.grad_clip=nan"], "hp.grad_clip"),
+        (["--set", "hp.eps=inf"], "hp.eps"),
+        (["--set", "hp.lr=nan"], "hp.lr"),
+        (["--set", "hp.lr=-1"], "hp.lr"),
+        (["--set", "embed.vectors=no-such-vectors.txt"], "embed.vectors"),
+    ])
+    def test_train_names_key_and_writes_nothing(self, tmp_path, corpus, capsys, argv, key):
+        out = tmp_path / "run"
+        code = cli.main([
+            "train", "--out", str(out),
+            "--set", f"data.train={corpus}", "--set", f"data.dev={corpus}",
+            "--set", "hp.epochs=1", *TINY_MODEL_SETS, *argv,
+        ])
+        assert code == 1
+        assert f"config key {key}:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_predict_names_key_and_writes_nothing(self, tmp_path, trained, corpus, capsys):
+        out = tmp_path / "preds"
+        code = cli.main([
+            "predict", "--config", str(trained / "config.txt"),
+            "--checkpoint", str(trained / "model.ckpt"),
+            "--vocab", str(trained / "vocab.txt"),
+            "--data", str(corpus), "--out", str(out), "--set", "hp.batch_size=0",
+        ])
+        assert code == 1
+        assert "config key hp.batch_size:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--doc-len", "20", "10"], "doc_len minimum 20 exceeds"),
+        (["--qry-len", "9", "5"], "qry_len minimum 9 exceeds"),
+    ])
+    def test_gen_synth_names_setting_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "synth"
+        assert cli.main(["gen-synth", "--out", str(out), *argv]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_predict_numbers_samples_across_batches(tmp_path, trained, corpus):
+    out = tmp_path / "preds"
+    code = cli.main([
+        "predict", "--config", str(trained / "config.txt"),
+        "--checkpoint", str(trained / "model.ckpt"),
+        "--vocab", str(trained / "vocab.txt"),
+        "--data", str(corpus), "--out", str(out), "--set", "hp.batch_size=8",
+    ])
+    assert code == 0
+    records = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    samples = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert [r["sample_id"] for r in records] == [str(i) for i in range(len(samples))]
+    assert [r["doc_len"] for r in records] == [len(s["document"]) for s in samples]

@@ -13,7 +13,7 @@ from dgreader.embed import (
     load_pretrained_vectors,
     random_word_table,
 )
-from dgreader.errors import ContractViolation, DimensionError, ParseError
+from dgreader.errors import ConfigError, ContractViolation, DimensionError, ParseError
 from oracles import char_embed_token, embed_tokens, gru_cell
 
 
@@ -30,6 +30,18 @@ def vocab():
 @pytest.fixture
 def cfg():
     return EmbedConfig(word_dim=6, char_dim=3, char_hidden=4, char_out=5)
+
+
+class TestEmbedConfig:
+    def test_defaults_validate(self):
+        assert EmbedConfig().validate() == EmbedConfig()
+
+    @pytest.mark.parametrize("field", ["word_dim", "char_dim", "char_hidden", "char_out"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_widths_below_one_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field) as info:
+            EmbedConfig(**{field: value}).validate()
+        assert info.value.field == field
 
 
 class TestPretrainedVectors:

@@ -62,13 +62,15 @@ class TestHyperParams:
         assert hp.lr == 0.0005 and hp.patience == 5
 
     @pytest.mark.parametrize("field,value", [
-        ("lr", -1.0), ("dropout", 1.0), ("batch_size", 0), ("epochs", 0),
-        ("beta1", 1.0), ("eps", 0.0), ("patience", 0), ("grad_clip", 0.0),
-        ("target_train_acc", 0.0),
+        ("lr", -1.0), ("lr", math.nan), ("lr", math.inf), ("dropout", 1.0),
+        ("batch_size", 0), ("epochs", 0), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0),
+        ("eps", math.inf), ("patience", 0), ("seed", -1), ("grad_clip", 0.0),
+        ("grad_clip", math.nan), ("grad_clip", math.inf), ("target_train_acc", 0.0),
     ])
     def test_bad_values_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             HyperParams(**{field: value}).validate()
+        assert info.value.field == field
 
 
 class TestAdam:
