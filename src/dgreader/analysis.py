@@ -15,7 +15,6 @@ import numpy as np
 
 from .corpus import ClozeSample
 from .errors import ConfigError, ContractViolation
-from .ranker import find_occurrences
 
 LENGTH_AXES = ("document", "query")
 
@@ -102,17 +101,20 @@ def _minmax(matrix: np.ndarray) -> np.ndarray:
 def export_attention(
     energies: list[np.ndarray],
     sample: ClozeSample,
+    occurrence: np.ndarray,
 ) -> AttentionExport:
     """Aggregate each hop's energy rows (sample 0 of its (B, n, m)
     matrix) over candidate occurrences and min-max normalize per hop.
-    The last hop also contributes the (normalized) placeholder column
+    occurrence is the forward's Batch.occurrence (B, g, n); row g of
+    sample 0 selects the document positions of its g-th candidate. The
+    last hop also contributes the (normalized) placeholder column
     restricted to candidates.
 
     A hop whose aggregated matrix is constant exports all zeros.
     """
     if not energies:
         raise ContractViolation("energies carry no attention rounds")
-    occurrences = find_occurrences(sample.document, sample.candidates)
+    hits = occurrence[0, : len(sample.candidates), : len(sample.document)] != 0.0
     layers = []
     for batch_e in energies:
         e = batch_e[0]
@@ -122,9 +124,7 @@ def export_attention(
                 f"({len(sample.document)}, {len(sample.query)})"
             )
         e = e[: len(sample.document), : len(sample.query)]
-        rows = np.stack(
-            [e[occurrences.positions[c]].sum(axis=0) for c in sample.candidates]
-        )
+        rows = np.stack([e[row].sum(axis=0) for row in hits])
         layers.append(_minmax(rows))
     return AttentionExport(
         candidates=list(sample.candidates),

@@ -67,19 +67,19 @@ MASK_OFFSET = 1e30
 
 
 class Parameter:
-    """A named, persistent weight array with a gradient buffer.
+    """A named, persistent weight array. Its gradients live only in the
+    dict that backward returns.
 
-    trainable=False parameters keep a zero gradient after every backward
+    trainable=False parameters get a zero gradient from every backward
     pass and are never touched by the optimizer.
     """
 
-    __slots__ = ("id", "data", "trainable", "grad")
+    __slots__ = ("id", "data", "trainable")
 
     def __init__(self, pid: str, data: np.ndarray, trainable: bool = True):
         self.id = pid
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.trainable = trainable
-        self.grad = np.zeros_like(self.data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,17 +93,15 @@ class Tensor:
     """A node in the computation graph: dense float64 values plus, for op
     outputs, the references backward needs."""
 
-    __slots__ = ("data", "grad", "_tape", "op", "parents", "bwd", "needs_grad", "param")
+    __slots__ = ("data", "grad", "_tape", "op", "bwd", "needs_grad")
 
     def __init__(self, data: np.ndarray, tape: "Tape"):
         self.data = data
         self.grad: np.ndarray | None = None
         self._tape = weakref.ref(tape)
         self.op: str | None = None
-        self.parents: tuple[Tensor, ...] = ()
         self.bwd: Callable[[Tensor], None] | None = None
         self.needs_grad = False
-        self.param: Parameter | None = None
 
     @property
     def tape(self) -> "Tape":
@@ -150,15 +148,6 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # e = exp(-|x|) never overflows; sigma(x) = 1/(1+e) for x >= 0 and
-    # 1 - 1/(1+e) for x < 0
-    e = np.exp(-np.abs(x))
-    e += 1.0
-    np.reciprocal(e, out=e)
-    return np.where(x >= 0, e, 1.0 - e)
-
-
 class Tape:
     """Ordered record of primitive applications for one forward pass.
     One backward consumes it (see backward)."""
@@ -182,14 +171,12 @@ class Tape:
             return cached[1]
         leaf = Tensor(param.data, self)
         leaf.needs_grad = param.trainable
-        leaf.param = param
         self.watched[id(param)] = (param, leaf)
         return leaf
 
     def _node(self, data, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
         t = Tensor(data, self)
         t.op = op
-        t.parents = parents
         t.bwd = bwd
         t.needs_grad = any(p.needs_grad for p in parents)
         self.nodes.append(t)
@@ -227,22 +214,6 @@ class Tape:
             _acc(a, -out.grad)
 
         return self._node(-a.data, (a,), bwd, "neg")
-
-    def sigmoid(self, a: Tensor) -> Tensor:
-        y = _stable_sigmoid(a.data)
-
-        def bwd(out):
-            _acc(a, out.grad * y * (1.0 - y))
-
-        return self._node(y, (a,), bwd, "sigmoid")
-
-    def tanh(self, a: Tensor) -> Tensor:
-        y = np.tanh(a.data)
-
-        def bwd(out):
-            _acc(a, out.grad * (1.0 - y * y))
-
-        return self._node(y, (a,), bwd, "tanh")
 
     def log(self, a: Tensor) -> Tensor:
         def bwd(out):
@@ -329,12 +300,6 @@ class Tape:
 
     # ---- reductions ----
 
-    def sum_all(self, a: Tensor) -> Tensor:
-        def bwd(out):
-            _acc(a, np.broadcast_to(out.grad, a.data.shape))
-
-        return self._node(a.data.sum(), (a,), bwd, "sum_all")
-
     def mean_all(self, a: Tensor) -> Tensor:
         size = a.data.size
 
@@ -398,15 +363,14 @@ class Tape:
 
         return self._node(table.data[ids], (table,), bwd, "gather_rows")
 
-    def dropout(self, a: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-        """Inverted dropout. In eval mode (train=False) this is exactly the
-        identity: the input tensor is returned unchanged."""
+    def dropout(self, a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+        """Inverted dropout, drawing its mask from rng. Without a generator
+        (rng=None) or at rate 0 this is exactly the identity: the input
+        tensor is returned unchanged."""
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-        if not train or rate == 0.0:
+        if rng is None or rate == 0.0:
             return a
-        if rng is None:
-            raise ConfigError("dropout in training mode requires an explicit generator")
         keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
 
         def bwd(out):
@@ -418,9 +382,10 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     """Reverse pass over the tape, visiting each node exactly once.
 
-    Fills Parameter.grad for every watched parameter: d loss / d param
-    for trainable ones, zeros for frozen ones and for parameters the
-    loss does not depend on. Returns {parameter id: gradient}.
+    Returns {parameter id: gradient} for every watched parameter, the
+    only place gradients are kept: d loss / d param for trainable ones,
+    zeros for frozen ones and for parameters the loss does not depend
+    on. Each gradient is a fresh array the caller may modify.
 
     The sweep frees what it has consumed: once a node's turn has come,
     its backward closure (and with it every activation that only the
@@ -446,14 +411,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
             bwd(node)
             if node is not loss:
                 node.grad = None
-    grads: dict[str, np.ndarray] = {}
-    for param, leaf in tape.watched.values():
-        if param.trainable and leaf.grad is not None:
-            param.grad = np.array(leaf.grad)
-        else:
-            param.grad = np.zeros_like(param.data)
-        grads[param.id] = param.grad
-    return grads
+    return {
+        param.id: np.array(leaf.grad)
+        if param.trainable and leaf.grad is not None
+        else np.zeros_like(param.data)
+        for param, leaf in tape.watched.values()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +518,10 @@ def bigru(
     h0_fwd: Tensor | None,
     h0_bwd: Tensor | None,
     params: BiGRUParams,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> Tensor:
-    """Bidirectional GRU over a (B, T, in) batch of sequences.
+    """Bidirectional GRU over a (B, T, in) batch of sequences under its
+    (B, T) 0/1 mask.
 
     Returns the per-step states (B, T, 2*hidden), forward and backward
     halves side by side in the time order of the sequence; final_states
@@ -596,10 +560,9 @@ def bigru(
     for h0 in h0s:
         if h0 is not None and h0.data.shape != (batch, n):
             raise DimensionError(f"bigru h0 shape {h0.data.shape}, expected {(batch, n)}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (batch, steps):
-            raise DimensionError(f"bigru mask shape {mask.shape}, expected {(batch, steps)}")
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != (batch, steps):
+        raise DimensionError(f"bigru mask shape {mask.shape}, expected {(batch, steps)}")
 
     w_in, w_hid, bias = (tape.watch(p) for p in params.parameters())
     # u[g, d] is gate g's (n, n) block of direction d.
@@ -607,11 +570,10 @@ def bigru(
     proj = x.data.reshape(batch * steps, width) @ w_in.data
     proj += bias.data  # in place: no second array as large as proj
     proj = proj.reshape(batch, steps, 2, 3, n)
-    if mask is not None:
-        # A padded position shuts the update gate in both directions:
-        # tanh(-inf) = -1 below gives z = 0 exactly, so h[t] = h[t-1] and
-        # no gradient reaches the position's input.
-        proj[:, :, :, 0][mask == 0.0] = -np.inf
+    # A padded position shuts the update gate in both directions:
+    # tanh(-inf) = -1 below gives z = 0 exactly, so h[t] = h[t-1] and
+    # no gradient reaches the position's input.
+    proj[:, :, :, 0][mask == 0.0] = -np.inf
     # Gate-major and in reading order, so that every per-step operand is
     # contiguous: xg[t, g, d] is gate g's input to direction d at step t.
     xg = np.empty((steps, 3, 2, batch, n))
@@ -743,32 +705,42 @@ def save_checkpoint(params: Iterable[Parameter], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read an archive written by save_checkpoint: {parameter id: array}."""
+    """Read an archive written by save_checkpoint: {parameter id: array}.
+
+    Every read is checked against the file's length, so a file cut short
+    raises ParseError naming the file, the entry being read and the byte
+    offset where its data runs out.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
-    version, count = struct.unpack_from("<II", blob, 4)
+    off, where = 4, "the header"
+
+    def read(dtype: str, count: int) -> np.ndarray:
+        nonlocal off
+        size = np.dtype(dtype).itemsize * count
+        if count < 0 or off + size > len(blob):
+            raise ParseError(
+                f"{path}: truncated in {where} at byte {off}: "
+                f"{size} bytes wanted, {len(blob) - off} left"
+            )
+        off += size
+        return np.frombuffer(blob, dtype=dtype, count=count, offset=off - size)
+
+    version, count = (int(v) for v in read("<u4", 2))
     if version != CHECKPOINT_VERSION:
         raise ParseError(
             f"{path}: unsupported checkpoint format version {version} "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    off = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = tuple(np.frombuffer(blob, dtype="<i8", count=ndim, offset=off))
-        off += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
-        off += 8 * size
-        out[name] = np.array(data)
+    for index in range(count):
+        where = f"entry {index}"
+        name = read("u1", int(read("<u4", 1)[0])).tobytes().decode("utf-8")
+        where = f"entry {index} ({name!r})"
+        shape = tuple(int(d) for d in read("<i8", int(read("<u4", 1)[0])))
+        out[name] = read("<f8", int(np.prod(shape))).reshape(shape).copy()
     if off != len(blob):
         raise ParseError(f"{path}: {len(blob) - off} trailing bytes after last entry")
     return out

@@ -384,8 +384,8 @@ def cmd_analyze_attention(args) -> int:
     if not 0 <= args.index < len(samples):
         raise ConfigError(f"--index {args.index} outside the split (size {len(samples)})")
     sample = samples[args.index]
-    _, _, energies = model.encode_sample(sample)
-    export = export_attention(energies, sample)
+    batch = assemble_batch([sample], model.vocab)
+    export = export_attention(model.forward_batch(batch).energies, sample, batch.occurrence)
     out = _out_dir(args)
     write_snapshot(cfg, out)
     stem = out / f"attention_{args.index}"

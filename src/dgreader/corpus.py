@@ -38,6 +38,8 @@ UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
 PLACEHOLDER_ID = 2
+# The words at ids 0, 1 and 2; a corpus token spelled like one maps to it.
+RESERVED_WORDS = (PAD_TOKEN, UNK_TOKEN, PLACEHOLDER)
 
 
 @dataclass
@@ -247,7 +249,7 @@ class Vocabulary:
     """
 
     def __init__(self, words: list[str], chars: list[str]):
-        self.id_to_word = [PAD_TOKEN, UNK_TOKEN, PLACEHOLDER] + list(words)
+        self.id_to_word = [*RESERVED_WORDS, *words]
         self.id_to_char = [PAD_TOKEN, UNK_TOKEN] + list(chars)
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
         self.char_to_id = {c: i for i, c in enumerate(self.id_to_char)}
@@ -277,7 +279,8 @@ def build_vocab(splits, min_count: int = 1) -> Vocabulary:
     splits may be a single DatasetSplit or an iterable; with several
     splits only those named "train" contribute (falling back to the
     first split, with a warning, if none is). min_count filters words;
-    characters are always kept.
+    characters are always kept. Tokens spelled like a reserved word
+    (RESERVED_WORDS) are not counted, so each maps to its reserved id.
     """
     if isinstance(splits, DatasetSplit):
         pool = [splits]
@@ -296,7 +299,7 @@ def build_vocab(splits, min_count: int = 1) -> Vocabulary:
     for split in source:
         for sample in split.samples:
             for token in list(sample.document) + list(sample.query):
-                if token == PLACEHOLDER:
+                if token in RESERVED_WORDS:
                     continue
                 word_counts[token] = word_counts.get(token, 0) + 1
                 for ch in token:
@@ -343,7 +346,7 @@ def _read_vocab_file(path) -> list[str]:
 def load_vocab(path) -> Vocabulary:
     words = _read_vocab_file(path)
     chars = _read_vocab_file(f"{path}.chars")
-    if words[:3] != [PAD_TOKEN, UNK_TOKEN, PLACEHOLDER] or chars[:2] != [PAD_TOKEN, UNK_TOKEN]:
+    if words[:3] != list(RESERVED_WORDS) or chars[:2] != [PAD_TOKEN, UNK_TOKEN]:
         raise ParseError(f"{path}: vocabulary files lack the reserved leading entries")
     return Vocabulary(words[3:], chars[2:])
 

@@ -151,20 +151,19 @@ class Model:
     def forward_batch(
         self,
         batch: Batch,
-        train: bool = False,
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> ForwardResult:
+        """One forward over the batch. Dropout at the given rate runs
+        exactly when a generator is passed (training); without one the
+        forward is deterministic (evaluation and prediction)."""
         tape = Tape()
-        drop = (dropout, rng, train)
         doc, qry = self.embedder.embed_batch(tape, batch)
-        doc = tape.dropout(doc, dropout, rng, train)
-        qry = tape.dropout(qry, dropout, rng, train)
-
-        qe = batch.qe if self.reader_cfg.qe_comm else None
+        doc = tape.dropout(doc, dropout, rng)
+        qry = tape.dropout(qry, dropout, rng)
         doc_enc, qry_enc, energies = encode_full(
             doc, qry, self.reader_cfg, self.reader_params,
-            batch.doc_mask, batch.qry_mask, qe, drop,
+            batch.doc_mask, batch.qry_mask, batch.qe, (dropout, rng),
         )
 
         size, n = batch.doc_ids.shape
@@ -210,16 +209,3 @@ class Model:
             )
         rows = [dict(zip(s.candidates, row)) for s, row in zip(batch.samples, probs.tolist())]
         return [PredictionDistribution(row, predict(row)) for row in rows]
-
-    def encode_sample(
-        self, sample: ClozeSample
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Final encodings (n, r) / (m, r) and the per-hop energy
-        matrices (1, n, m) for one sample, unpadded."""
-        batch = assemble_batch([sample], self.vocab)
-        result = self.forward_batch(batch)
-        return (
-            np.array(result.doc_enc.data[0]),
-            np.array(result.qry_enc.data[0]),
-            result.energies,
-        )

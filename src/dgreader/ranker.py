@@ -1,4 +1,4 @@
-"""Candidate occurrences, the prediction rule, and prediction dumps.
+"""The prediction rule and prediction dumps.
 
 The model ranks candidates by pointer-sum attention, computed for a
 whole batch in `Model.forward_batch`: a softmax over document positions
@@ -7,9 +7,8 @@ query state at the placeholder, summed over each candidate's occurrence
 positions through the 0/1 occurrence matrix that `model.assemble_batch`
 builds, and renormalized over the candidate set. `predict` picks the
 most probable candidate, exact ties going to the lexicographically
-smallest. `find_occurrences` lists one sample's candidate positions for
-attention analysis. The scalar per-position version of the ranking is
-the oracle in tests/oracles.py.
+smallest. The scalar per-position version of the ranking is the oracle
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,24 +17,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractViolation, ParseError
-
-
-@dataclass
-class CandidateOccurrences:
-    """Ascending occurrence positions per candidate."""
-
-    positions: dict[str, list[int]]
-
-
-def find_occurrences(document: list[str], candidates: list[str]) -> CandidateOccurrences:
-    positions = {c: [] for c in candidates}
-    for i, tok in enumerate(document):
-        if tok in positions:
-            positions[tok].append(i)
-    for cand, pos in positions.items():
-        if not pos:
-            raise ContractViolation(f"candidate {cand!r} does not occur in the document")
-    return CandidateOccurrences(positions)
 
 
 def predict(candidate_probs: dict[str, float]) -> str:

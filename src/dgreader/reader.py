@@ -115,40 +115,34 @@ def encode_full(
     qry_emb: Tensor,
     cfg: ReaderConfig,
     params: ReaderParams,
-    doc_mask: np.ndarray | None = None,
-    qry_mask: np.ndarray | None = None,
+    doc_mask: np.ndarray,
+    qry_mask: np.ndarray,
     qe_features: np.ndarray | None = None,
-    dropout: tuple[float, np.random.Generator | None, bool] = (0.0, None, False),
+    dropout: tuple[float, np.random.Generator | None] = (0.0, None),
 ) -> tuple[Tensor, Tensor, list[np.ndarray]]:
-    """Full encoding pass over (B, n, D) / (B, m, D) embeddings.
+    """Full encoding pass over (B, n, D) / (B, m, D) embeddings under
+    their (B, n) / (B, m) 0/1 masks.
 
     Reading 0 reads both sides from zero states. Each of the cfg.hops
     rounds computes the energies e = doc @ qryᵀ, gates the document with
     its attended query context, routes the query side by the three
     switches (attending to the document only under query_gating),
-    applies dropout to the document input and then the query input,
-    appends the qe column to the document input of the last round, and
-    reads both sides again. Returns the final document and query
-    readings and the cfg.hops energy matrices, each (B, n, m).
+    applies dropout (rate, generator) to the document input and then the
+    query input, appends the qe column to the document input of the last
+    round, and reads both sides again; qe_features is read only under
+    cfg.qe_comm. Returns the final document and query readings and the
+    cfg.hops energy matrices, each (B, n, m).
     """
     if doc_emb.ndim != 3 or qry_emb.ndim != 3:
         raise DimensionError(
             f"encode_full expects (B, n, D) and (B, m, D) embeddings, got "
             f"{doc_emb.data.shape} and {qry_emb.data.shape}"
         )
-    batch, n, _ = doc_emb.data.shape
-    m = qry_emb.data.shape[1]
-    if doc_mask is None:
-        doc_mask = np.ones((batch, n))
-    if qry_mask is None:
-        qry_mask = np.ones((batch, m))
     if cfg.qe_comm and qe_features is None:
         raise ContractViolation("config enables the qe feature but none was supplied")
-    if not cfg.qe_comm and qe_features is not None:
-        raise ContractViolation("qe features supplied but disabled in the config")
 
     tape = doc_emb.tape
-    rate, rng, train = dropout
+    rate, rng = dropout
     doc = bigru(doc_emb, None, None, params.doc_readers[0], doc_mask)
     qry = bigru(qry_emb, None, None, params.qry_readers[0], qry_mask)
     energies = []
@@ -161,9 +155,9 @@ def encode_full(
             qry_in = tape.mul(qry, attend(tape.transpose_last2(e), doc, doc_mask))
         else:
             qry_in = qry if cfg.dependent_query else qry_emb
-        doc_in = tape.dropout(doc_in, rate, rng, train)
-        qry_in = tape.dropout(qry_in, rate, rng, train)
-        if s == cfg.hops and qe_features is not None:
+        doc_in = tape.dropout(doc_in, rate, rng)
+        qry_in = tape.dropout(qry_in, rate, rng)
+        if s == cfg.hops and cfg.qe_comm:
             doc_in = tape.concat_last([doc_in, tape.constant(qe_features[:, :, None])])
         doc = bigru(doc_in, None, None, params.doc_readers[s], doc_mask)
         qry = bigru(qry_in, h0f, h0b, params.qry_readers[s], qry_mask)

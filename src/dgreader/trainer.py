@@ -145,7 +145,7 @@ class EvalResult:
 
 def evaluate(model: Model, samples: list[ClozeSample], batch_size: int = 32) -> EvalResult:
     """Accuracy and mean gold NLL over a labelled sample list, computed
-    in eval mode (no dropout)."""
+    without dropout (the forwards get no generator)."""
     if not samples:
         raise ContractViolation("evaluate needs at least one sample")
     correct = 0
@@ -211,9 +211,7 @@ def train(
             seen = 0
             for index, chunk in enumerate(make_batches(train_samples, hp.batch_size, shuffle_rng)):
                 batch = assemble_batch(chunk, model.vocab)
-                out = model.forward_batch(
-                    batch, train=True, dropout=hp.dropout, rng=drop_rng
-                )
+                out = model.forward_batch(batch, dropout=hp.dropout, rng=drop_rng)
                 loss = float(out.loss.data)
                 if not math.isfinite(loss):
                     norms = ", ".join(

@@ -1,28 +1,68 @@
 """Step-wise and per-position oracles for the engine, the embedder and
 the ranker.
 
-`gru_cell` is one GRU step composed from primitive tape ops; chains of
-it check the fused scans. The embedding helpers compose characters once
-per token position, padding included. They are the reference for the
-package's once-per-type composition, and they check the character
-embedder against the cell chain. `token_distribution`,
+`sigmoid`, `tanh` and `sum_all` are tape primitives that only the
+oracles and the engine tests use; they record nodes on their input's
+tape like the package's own. `gru_cell` is one GRU step composed from
+primitive tape ops; chains of it check the fused scans. The embedding
+helpers compose characters once per token position, padding included.
+They are the reference for the package's once-per-type composition, and
+they check the character embedder against the cell chain. `token_distribution`,
 `aggregate_candidates` and `rank` are the scalar pointer-sum ranking of
 one unpadded sample: each candidate's mass is accumulated position by
 position in ascending order. They are the reference for the batched
 `cand_probs` that the model's forward computes as one matrix product.
-`occurrence_matrix`, `qe_comm_features` and `assemble_per_sample` build
-a model.Batch one sample and one token at a time; they are the
-reference for `assemble_batch`'s array operations over the type table.
+`find_occurrences`, `occurrence_matrix`, `qe_comm_features` and
+`assemble_per_sample` build a model.Batch one sample and one token at a
+time; they are the reference for `assemble_batch`'s array operations
+over the type table. `encode_sample` and `sample_occurrence` give one
+sample's unpadded encodings and its occurrence rows.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from dgreader.autodiff import BiGRUParams, Tape, Tensor
-from dgreader.corpus import PAD_ID, PLACEHOLDER
+from dgreader.autodiff import BiGRUParams, Tape, Tensor, _acc
+from dgreader.corpus import PAD_ID, PLACEHOLDER, ClozeSample
 from dgreader.embed import TokenEmbedder, char_id_matrix
 from dgreader.errors import ContractViolation, DimensionError
-from dgreader.model import Batch
-from dgreader.ranker import CandidateOccurrences, PredictionDistribution, find_occurrences, predict
+from dgreader.model import Batch, Model, assemble_batch
+from dgreader.ranker import PredictionDistribution, predict
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    # e = exp(-|x|) never overflows; sigma(x) = 1/(1+e) for x >= 0 and
+    # 1 - 1/(1+e) for x < 0
+    e = np.exp(-np.abs(x))
+    e += 1.0
+    np.reciprocal(e, out=e)
+    return np.where(x >= 0, e, 1.0 - e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _stable_sigmoid(a.data)
+
+    def bwd(out):
+        _acc(a, out.grad * y * (1.0 - y))
+
+    return a.tape._node(y, (a,), bwd, "sigmoid")
+
+
+def tanh(a: Tensor) -> Tensor:
+    y = np.tanh(a.data)
+
+    def bwd(out):
+        _acc(a, out.grad * (1.0 - y * y))
+
+    return a.tape._node(y, (a,), bwd, "tanh")
+
+
+def sum_all(a: Tensor) -> Tensor:
+    def bwd(out):
+        _acc(a, np.broadcast_to(out.grad, a.data.shape))
+
+    return a.tape._node(a.data.sum(), (a,), bwd, "sum_all")
 
 
 def gru_cell(x: Tensor, h: Tensor, params: BiGRUParams, d: int) -> Tensor:
@@ -54,10 +94,10 @@ def gru_cell(x: Tensor, h: Tensor, params: BiGRUParams, d: int) -> Tensor:
         return tape.select(a, (..., slice(lo, hi)))
 
     gx = tape.add(tape.matmul(x, w_in), bias)
-    zr = tape.sigmoid(tape.add(last(gx, 0, 2 * n), tape.matmul(h, last(w_hid, 0, 2 * n))))
+    zr = sigmoid(tape.add(last(gx, 0, 2 * n), tape.matmul(h, last(w_hid, 0, 2 * n))))
     z = last(zr, 0, n)
     r = last(zr, n, 2 * n)
-    cand = tape.tanh(
+    cand = tanh(
         tape.add(last(gx, 2 * n, 3 * n), tape.matmul(tape.mul(r, h), last(w_hid, 2 * n, 3 * n)))
     )
     keep = tape.add(tape.constant(1.0), tape.neg(z))
@@ -162,6 +202,24 @@ def token_distribution(
     return shifted / shifted.sum()
 
 
+@dataclass
+class CandidateOccurrences:
+    """Ascending occurrence positions per candidate."""
+
+    positions: dict[str, list[int]]
+
+
+def find_occurrences(document: list[str], candidates: list[str]) -> CandidateOccurrences:
+    positions = {c: [] for c in candidates}
+    for i, tok in enumerate(document):
+        if tok in positions:
+            positions[tok].append(i)
+    for cand, pos in positions.items():
+        if not pos:
+            raise ContractViolation(f"candidate {cand!r} does not occur in the document")
+    return CandidateOccurrences(positions)
+
+
 def aggregate_candidates(y: np.ndarray, occurrences: CandidateOccurrences) -> dict[str, float]:
     """Pointer-sum aggregation, renormalized over the candidate set.
 
@@ -211,6 +269,20 @@ def occurrence_matrix(
     for row, cand in enumerate(order):
         out[row, occurrences.positions[cand]] = 1.0
     return out
+
+
+def sample_occurrence(sample: ClozeSample) -> np.ndarray:
+    """One sample's occurrence rows as a batch of one, (1, g, n), as
+    Batch.occurrence holds them."""
+    occ = find_occurrences(sample.document, sample.candidates)
+    return occurrence_matrix(occ, len(sample.document), sample.candidates)[None]
+
+
+def encode_sample(model: Model, sample: ClozeSample) -> tuple[np.ndarray, np.ndarray, list]:
+    """Final encodings (n, r) / (m, r) and the per-hop energy matrices
+    (1, n, m) of one sample, from a forward over a batch of one."""
+    result = model.forward_batch(assemble_batch([sample], model.vocab))
+    return np.array(result.doc_enc.data[0]), np.array(result.qry_enc.data[0]), result.energies
 
 
 def qe_comm_features(doc_tokens: list[str], qry_tokens: list[str]) -> np.ndarray:

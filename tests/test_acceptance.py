@@ -36,7 +36,7 @@ from dgreader.embed import EmbedConfig
 from dgreader.errors import ParseError
 from dgreader.gradcheck import check_gradients
 from dgreader.model import Model, assemble_batch
-from dgreader.ranker import find_occurrences, predict
+from dgreader.ranker import predict
 from dgreader.reader import (
     ABLATION_PRESETS,
     ReaderConfig,
@@ -48,7 +48,7 @@ from dgreader.rulekit import STATUS_AMBIGUOUS, STATUS_NO_ANCHOR, STATUS_SOLVED, 
 from dgreader.trainer import HyperParams, evaluate, train
 
 from ga_reference import ga_encode, random_embeddings, suffix_mask
-from oracles import aggregate_candidates, token_distribution
+from oracles import aggregate_candidates, find_occurrences, token_distribution
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,7 +210,9 @@ def test_criterion_4_masking_invariance(report):
         doc, qry = random_embeddings(rng, 1, n, m, dim)
 
         tape = Tape()
-        base_d, base_q, _ = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
+        base_d, base_q, _ = encode_full(
+            tape.constant(doc), tape.constant(qry), cfg, params, np.ones((1, n)), np.ones((1, m))
+        )
 
         pad_d = int(rng.integers(0, 9))
         pad_q = int(rng.integers(0, 9))

@@ -18,6 +18,7 @@ from dgreader.analysis import (
 )
 from dgreader.corpus import ClozeSample
 from dgreader.errors import ConfigError, ContractViolation
+from oracles import sample_occurrence
 
 
 def record(sample_id, correct, doc_len=10, qry_len=5, gold="x"):
@@ -85,7 +86,8 @@ def toy_sample():
 
 
 def toy_trace(rng, hops=2, n=4, m=3):
-    """Per-hop (1, n, m) energy matrices, as encode_sample returns them."""
+    """Per-hop (1, n, m) energy matrices, as a forward over one sample
+    returns them."""
     return [rng.normal(size=(1, n, m)) for _ in range(hops)]
 
 
@@ -94,7 +96,7 @@ class TestAttentionExport:
         rng = np.random.default_rng(0)
         trace = toy_trace(rng)
         sample = toy_sample()
-        export = export_attention(trace, sample)
+        export = export_attention(trace, sample, sample_occurrence(sample))
         e = trace[0][0]
         raw = np.stack([e[0] + e[2], e[1]])
         want = (raw - raw.min()) / (raw.max() - raw.min())
@@ -111,14 +113,14 @@ class TestAttentionExport:
             placeholder_index=0,
         ).validate()
         trace = toy_trace(rng, hops=1, n=3, m=2)
-        export = export_attention(trace, sample)
+        export = export_attention(trace, sample, sample_occurrence(sample))
         raw = trace[0][0].sum(axis=0, keepdims=True)
         want = (raw - raw.min()) / (raw.max() - raw.min())
         np.testing.assert_allclose(export.layers[0], want, atol=1e-12)
 
     def test_minmax_hits_zero_and_one(self):
         rng = np.random.default_rng(2)
-        export = export_attention(toy_trace(rng), toy_sample())
+        export = export_attention(toy_trace(rng), toy_sample(), sample_occurrence(toy_sample()))
         for layer in export.layers:
             assert layer.min() == 0.0 and layer.max() == 1.0
 
@@ -132,14 +134,14 @@ class TestAttentionExport:
             answer="dog",
             placeholder_index=1,
         ).validate()
-        export = export_attention([np.full((1, 4, 3), 0.7)], sample)
+        export = export_attention([np.full((1, 4, 3), 0.7)], sample, sample_occurrence(sample))
         np.testing.assert_array_equal(export.layers[0], 0.0)
         np.testing.assert_array_equal(export.placeholder_column, 0.0)
 
     def test_placeholder_column_comes_from_last_layer(self):
         rng = np.random.default_rng(3)
         sample = toy_sample()
-        export = export_attention(toy_trace(rng), sample)
+        export = export_attention(toy_trace(rng), sample, sample_occurrence(sample))
         np.testing.assert_array_equal(
             export.placeholder_column, export.layers[-1][:, sample.placeholder_index]
         )
@@ -148,14 +150,14 @@ class TestAttentionExport:
         rng = np.random.default_rng(4)
         trace = toy_trace(rng)
         sample = toy_sample()
-        a = export_attention(trace, sample)
-        b = export_attention(trace, sample)
+        a = export_attention(trace, sample, sample_occurrence(sample))
+        b = export_attention(trace, sample, sample_occurrence(sample))
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la, lb)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(5)
-        export = export_attention(toy_trace(rng), toy_sample())
+        export = export_attention(toy_trace(rng), toy_sample(), sample_occurrence(toy_sample()))
         data = json.loads(export.to_json())
         assert data["candidates"] == ["cat", "dog"]
         assert len(data["layers"]) == 2
@@ -163,7 +165,7 @@ class TestAttentionExport:
 
     def test_svg_contains_grid_and_labels(self):
         rng = np.random.default_rng(6)
-        export = export_attention(toy_trace(rng), toy_sample())
+        export = export_attention(toy_trace(rng), toy_sample(), sample_occurrence(toy_sample()))
         svg = attention_svg(export)
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<rect") == 2 * 3

@@ -3,6 +3,7 @@ finite differences, GRU primitives against a plain-Python scalar oracle,
 tape lifetime, and checkpoint round-trips."""
 
 import math
+import re
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from dgreader.errors import ContractViolation, DimensionError, ParseError
 from dgreader.gradcheck import check_gradients, numeric_gradient
 from dgreader.model import Model, assemble_batch
 from dgreader.reader import ReaderConfig
-from oracles import gru_cell
+from oracles import gru_cell, sigmoid, sum_all, tanh
 
 
 def scalar_gru_step(x, h, w_in, w_hid, b):
@@ -100,7 +101,7 @@ class TestPrimitivesForward:
         outs = []
         for _ in range(2):
             tape = Tape()
-            t = tape.tanh(tape.matmul(tape.constant(x), tape.constant(x.T)))
+            t = tanh(tape.matmul(tape.constant(x), tape.constant(x.T)))
             outs.append(t.data.tobytes())
         assert outs[0] == outs[1]
 
@@ -164,7 +165,7 @@ class TestBackward:
         w = Parameter("w", np.array([[2.0], [3.0]]))
         x = tape.constant([[1.0, 4.0]])
         y = tape.matmul(x, tape.watch(w))  # [[14.0]]
-        loss = tape.sum_all(tape.mul(y, y))
+        loss = sum_all(tape.mul(y, y))
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads["w"], [[28.0], [112.0]])
 
@@ -172,7 +173,7 @@ class TestBackward:
         tape = Tape()
         w = Parameter("w", np.array([3.0]))
         leaf = tape.watch(w)
-        out = tape.sum_all(tape.add(tape.mul(leaf, leaf), leaf))  # w^2 + w
+        out = sum_all(tape.add(tape.mul(leaf, leaf), leaf))  # w^2 + w
         grads = backward(tape, out)
         np.testing.assert_allclose(grads["w"], [7.0])
 
@@ -181,7 +182,7 @@ class TestBackward:
         used = Parameter("used", np.array([1.0]))
         unused = Parameter("unused", np.array([5.0]))
         tape.watch(unused)
-        loss = tape.sum_all(tape.watch(used))
+        loss = sum_all(tape.watch(used))
         grads = backward(tape, loss)
         np.testing.assert_array_equal(grads["unused"], [0.0])
 
@@ -190,7 +191,7 @@ class TestBackward:
         frozen = Parameter("frozen", np.array([[1.0, 2.0]]), trainable=False)
         live = Parameter("live", np.array([[3.0], [4.0]]))
         y = tape.matmul(tape.watch(frozen), tape.watch(live))
-        grads = backward(tape, tape.sum_all(y))
+        grads = backward(tape, sum_all(y))
         np.testing.assert_array_equal(grads["frozen"], [[0.0, 0.0]])
         np.testing.assert_allclose(grads["live"], [[1.0], [2.0]])
 
@@ -214,10 +215,10 @@ class TestBackward:
             tape = Tape()
             x = tape.matmul(tape.watch(a), tape.watch(b))
             x = tape.add(x, tape.watch(c))
-            x = tape.masked_softmax(tape.tanh(x), mask)
+            x = tape.masked_softmax(tanh(x), mask)
             top = tape.select(x, (..., slice(0, 2)))
             rest = tape.select(x, (..., slice(2, 5)))
-            y = tape.concat_last([tape.sigmoid(top), rest])
+            y = tape.concat_last([sigmoid(top), rest])
             y = tape.div(y, tape.add(tape.sum_last(y), tape.constant(0.5)))
             loss = tape.mean_all(tape.mul(y, y))
             return tape, loss
@@ -237,7 +238,7 @@ class TestBackward:
             e = tape.gather_rows(tape.watch(table), ids)
             e = tape.reshape(e, (2, 12))
             e = tape.transpose_last2(tape.reshape(e, (2, 3, 4)))
-            loss = tape.sum_all(tape.log(tape.add(tape.mul(e, e), tape.constant(1.0))))
+            loss = sum_all(tape.log(tape.add(tape.mul(e, e), tape.constant(1.0))))
             return tape, loss
 
         tape, loss = run()
@@ -293,7 +294,7 @@ class TestGRUCell:
         def run(d):
             tape = Tape()
             out = gru_cell(tape.constant(x), tape.constant(h), params, d)
-            loss = tape.sum_all(tape.mul(out, out))
+            loss = sum_all(tape.mul(out, out))
             return tape, loss
 
         for d in range(2):
@@ -313,7 +314,9 @@ class TestBiGRU:
         h0b = rng.normal(size=(1, hidden))
 
         tape = Tape()
-        outputs = bigru(tape.constant(x), tape.constant(h0f), tape.constant(h0b), params)
+        outputs = bigru(
+            tape.constant(x), tape.constant(h0f), tape.constant(h0b), params, np.ones((1, steps))
+        )
         ff, fb = final_states(outputs)
 
         chain = Tape()
@@ -352,7 +355,7 @@ class TestBiGRU:
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
 
         tape = Tape()
-        out_short = bigru(tape.constant(x), None, None, params)
+        out_short = bigru(tape.constant(x), None, None, params, np.ones((1, 3)))
         out_long = bigru(tape.constant(padded), None, None, params, mask)
         ff_s, fb_s = final_states(out_short)
         ff_l, fb_l = final_states(out_long)
@@ -411,7 +414,7 @@ class TestBiGRU:
         params, x, h0f, h0b, mask = self.padded_case(34)
         cases = [
             (x, mask),
-            (x[:, :1], None),
+            (x[:, :1], np.ones((2, 1))),
             (x, np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0] * 5])),
         ]
         for x, mask in cases:
@@ -427,7 +430,7 @@ class TestBiGRU:
                 )
                 ff, fb = final_states(outputs)
                 loss = tape.add(
-                    tape.mean_all(tape.tanh(outputs)), tape.sum_all(tape.mul(ff, fb))
+                    tape.mean_all(tanh(outputs)), sum_all(tape.mul(ff, fb))
                 )
                 return tape, loss
 
@@ -436,7 +439,7 @@ class TestBiGRU:
             report = check_gradients(lambda: run()[1].data.item(), checked, grads)
             assert report.passed, report.summary()
             assert len(report.per_param) == 6
-            if mask is not None and not mask[1].any():
+            if not mask[1].any():
                 np.testing.assert_array_equal(grads["x"][1], 0.0)
 
 
@@ -444,14 +447,14 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         tape = Tape()
         x = tape.constant(np.arange(6.0).reshape(2, 3))
-        out = tape.dropout(x, 0.5, None, train=False)
+        out = tape.dropout(x, 0.5, None)
         assert out is x
 
     def test_train_mode_scales_survivors(self):
         rng = np.random.default_rng(41)
         tape = Tape()
         x = tape.constant(np.ones((2000,)))
-        out = tape.dropout(x, 0.25, rng, train=True)
+        out = tape.dropout(x, 0.25, rng)
         kept = out.data != 0.0
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.75)
         assert abs(kept.mean() - 0.75) < 0.05
@@ -461,7 +464,7 @@ class TestDropout:
         outs = []
         for _ in range(2):
             tape = Tape()
-            outs.append(tape.dropout(tape.constant(x), 0.4, np.random.default_rng(9), True).data)
+            outs.append(tape.dropout(tape.constant(x), 0.4, np.random.default_rng(9)).data)
         np.testing.assert_array_equal(outs[0], outs[1])
 
 
@@ -502,6 +505,26 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ParseError, match="magic"):
+            load_checkpoint(path)
+
+    # Layout of the archive below: header bytes 0-11; entry 0 ("a.w",
+    # 3 x 5) bytes 12-158; entry 1 ("b.bias", 7) from byte 159, its
+    # values from byte 181 to the end at 237.
+    @pytest.mark.parametrize(
+        "cut, where",
+        [
+            (8, "the header at byte 4"),
+            (17, "entry 0 at byte 16"),
+            (200, "entry 1 ('b.bias') at byte 181"),
+        ],
+        ids=["header", "name", "values"],
+    )
+    def test_truncated_file_raises_located_error(self, tmp_path, cut, where):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint([Parameter("a.w", np.ones((3, 5))), Parameter("b.bias", np.ones(7))], path)
+        assert len(path.read_bytes()) == 237
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError, match=re.escape(f"model.ckpt: truncated in {where}:")):
             load_checkpoint(path)
 
 
@@ -549,10 +572,12 @@ class TestTapeLifetime:
         assert len(tape.nodes) > 50
         assert [n.op for n in tape.nodes if n is not loss and n.grad is not None] == []
         np.testing.assert_array_equal(loss.grad, 1.0)
+        assert set(grads) == {param.id for param, _ in tape.watched.values()}
         for param, leaf in tape.watched.values():
-            assert param.grad is grads[param.id]
             if param.trainable:
-                np.testing.assert_array_equal(leaf.grad, param.grad)
+                np.testing.assert_array_equal(leaf.grad, grads[param.id])
+            else:
+                np.testing.assert_array_equal(grads[param.id], 0.0)
 
     def test_backward_releases_every_closure_and_keeps_outputs(self, model_and_batch, live_tapes):
         model, batch = model_and_batch

@@ -11,6 +11,7 @@ import pytest
 
 from dgreader import cli
 from dgreader.autodiff import load_checkpoint
+from dgreader.corpus import PAD_ID, UNK_ID, load_vocab
 from dgreader.embed import EmbedConfig
 from dgreader.errors import ParseError
 from dgreader.gradcheck import GradCheckReport
@@ -147,6 +148,29 @@ class TestTrainEval:
         code = cli.main(["train", "--out", str(tmp_path / "x"), "--set", "hp.epochs=1"])
         assert code == 1
         assert "data.train" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling, reserved_id", [("<unk>", UNK_ID), ("<pad>", PAD_ID)])
+    def test_reserved_spellings_in_corpus_map_to_reserved_ids(self, tmp_path, spelling, reserved_id):
+        # a corpus whose rare words were already replaced by a reserved
+        # spelling: one JSONL line, the spelling in document and query
+        data = tmp_path / "one.jsonl"
+        data.write_text(json.dumps({
+            "document": ["the", spelling, "saw", "anna", "near", "bob", spelling],
+            "query": ["@placeholder", "saw", spelling],
+            "candidates": ["anna", "bob"],
+            "answer": "anna",
+        }) + "\n")
+        out = tmp_path / "run"
+        code = cli.main([
+            "train", "--out", str(out), "--set", f"data.train={data}", "--set", f"data.dev={data}",
+            "--set", "hp.epochs=1", *TINY_MODEL_SETS,
+        ])
+        assert code == 0
+        vocab = load_vocab(out / "vocab.txt")
+        assert vocab.word_id(spelling) == reserved_id
+        assert vocab.id_to_word.count(spelling) == 1
+        # "saw" occurs twice, the other words once
+        assert vocab.id_to_word[3:] == ["saw", "anna", "bob", "near", "the"]
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +325,27 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cut, where",
+        [
+            (8, "the header at byte 4"),
+            (17, "entry 0 at byte 16"),
+            (100, "entry 0 ('embed.word') at byte 46"),
+        ],
+        ids=["header", "name", "values"],
+    )
+    def test_truncated_checkpoint_maps_to_two(self, tmp_path, trained, corpus, capsys, cut, where):
+        cut_ckpt = tmp_path / "cut.ckpt"
+        cut_ckpt.write_bytes((trained / "model.ckpt").read_bytes()[:cut])
+        code = cli.main([
+            "eval", "--config", str(trained / "config.txt"),
+            "--checkpoint", str(cut_ckpt),
+            "--vocab", str(trained / "vocab.txt"),
+            "--data", str(corpus),
+        ])
+        assert code == 2
+        assert f"cut.ckpt: truncated in {where}" in capsys.readouterr().err
 
     def test_unknown_set_key_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--set", "nope=1"]) == 1

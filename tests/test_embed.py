@@ -14,7 +14,7 @@ from dgreader.embed import (
     random_word_table,
 )
 from dgreader.errors import ConfigError, ContractViolation, DimensionError, ParseError
-from oracles import char_embed_token, embed_tokens, gru_cell
+from oracles import char_embed_token, embed_tokens, gru_cell, sum_all
 
 
 @pytest.fixture
@@ -116,7 +116,7 @@ class TestCharEmbedder:
         emb = TokenEmbedder(np.random.default_rng(2), vocab, cfg)
         tape = Tape()
         vec = char_embed_token(emb, tape, "abc")
-        grads = backward(tape, tape.sum_all(tape.mul(vec, vec)))
+        grads = backward(tape, sum_all(tape.mul(vec, vec)))
         assert np.abs(grads["embed.char.table"]).max() > 0.0
         assert np.abs(grads["embed.char.proj_w"]).max() > 0.0
 
@@ -144,7 +144,7 @@ class TestTokenEmbedder:
         emb = TokenEmbedder(np.random.default_rng(5), vocab, cfg)
         tape = Tape()
         out = embed_tokens(emb, tape, [vocab.word_id("abc"), vocab.word_id("de")], ["abc", "de"])
-        grads = backward(tape, tape.sum_all(tape.mul(out, out)))
+        grads = backward(tape, sum_all(tape.mul(out, out)))
         np.testing.assert_array_equal(grads["embed.word"], 0.0)
 
     def test_trainable_table_rejected(self, vocab, cfg):

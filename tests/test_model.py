@@ -15,11 +15,11 @@ from dgreader.corpus import (
     PLACEHOLDER, UNK_ID, ClozeSample, DatasetSplit, SynthConfig, build_vocab, generate_synthetic,
 )
 from dgreader.embed import EmbedConfig, char_id_matrix
-from dgreader.errors import ConfigError, ContractViolation, NumericalError
+from dgreader.errors import ContractViolation, NumericalError
 from dgreader.gradcheck import check_gradients
 from dgreader.model import Batch, Model, assemble_batch
 from dgreader.reader import ABLATION_PRESETS, ReaderConfig
-from oracles import assemble_per_sample, embed_sides, rank, token_distribution
+from oracles import assemble_per_sample, embed_sides, encode_sample, rank, token_distribution
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ class TestForward:
             dists = model.predict_batch(out, batch)
             assert len(dists) == len(samples)
             for b, (s, dist) in enumerate(zip(samples, dists)):
-                doc_enc, qry_enc, _ = model.encode_sample(s)
+                doc_enc, qry_enc, _ = encode_sample(model, s)
                 y = token_distribution(doc_enc, qry_enc, s.placeholder_index)
                 np.testing.assert_allclose(
                     out.token_probs.data[b, : len(s.document)], y, rtol=0.0, atol=1e-12
@@ -277,11 +277,12 @@ class TestForward:
         split, vocab = small_world
         model = small_model(vocab)
         batch = assemble_batch(split.samples[:2], vocab)
-        with pytest.raises(ConfigError):
-            model.forward_batch(batch, train=True, dropout=0.5)
-        out1 = model.forward_batch(batch, train=True, dropout=0.5, rng=np.random.default_rng(3))
+        out1 = model.forward_batch(batch, dropout=0.5, rng=np.random.default_rng(3))
         out2 = model.forward_batch(batch)
         assert not np.allclose(out1.token_probs.data, out2.token_probs.data)
+        # without a generator the rate is not applied
+        out3 = model.forward_batch(batch, dropout=0.5)
+        assert out3.token_probs.data.tobytes() == out2.token_probs.data.tobytes()
 
     def test_qe_disabled_config_runs(self, small_world):
         split, vocab = small_world

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from dgreader.errors import ContractViolation, ParseError
-from dgreader.ranker import (
+from dgreader.ranker import dump_predictions, load_predictions, predict, prediction_record
+from oracles import (
     CandidateOccurrences,
-    dump_predictions,
+    aggregate_candidates,
     find_occurrences,
-    load_predictions,
-    predict,
-    prediction_record,
+    occurrence_matrix,
+    rank,
+    token_distribution,
 )
-from oracles import aggregate_candidates, occurrence_matrix, rank, token_distribution
 
 
 def scalar_distribution(doc_enc, q, mask):

@@ -19,7 +19,7 @@ from dgreader.reader import (
 )
 
 from ga_reference import ga_encode, random_embeddings, suffix_mask
-from oracles import qe_comm_features
+from oracles import qe_comm_features, sum_all
 
 
 def scalar_cross_attend(e, doc, qry, doc_mask, qry_mask):
@@ -197,7 +197,9 @@ class TestEncodeFull:
             cfg, params = tiny_setup(rng, hops=hops, qe=False)
             doc, qry = random_embeddings(rng, 2, 5, 4, 5)
             tape = Tape()
-            _, _, energies = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
+            _, _, energies = encode_full(
+                tape.constant(doc), tape.constant(qry), cfg, params, np.ones((2, 5)), np.ones((2, 4))
+            )
             assert len(energies) == hops
             assert energies[0].shape == (2, 5, 4)
 
@@ -228,9 +230,9 @@ class TestEncodeFull:
         tape = Tape()
         doc, qry = tape.constant(rng.normal(size=(5, 5))), tape.constant(rng.normal(size=(3, 5)))
         with pytest.raises(DimensionError, match=r"\(5, 5\) and \(3, 5\)"):
-            encode_full(doc, qry, cfg, params)
+            encode_full(doc, qry, cfg, params, np.ones((1, 5)), np.ones((1, 3)))
         with pytest.raises(DimensionError, match=r"bigru expects \(B, T, in\), got \(5, 5\)"):
-            bigru(doc, None, None, params.doc_readers[0])
+            bigru(doc, None, None, params.doc_readers[0], np.ones((1, 5)))
 
     def test_qe_mismatch_rejected(self):
         rng = np.random.default_rng(22)
@@ -238,26 +240,29 @@ class TestEncodeFull:
         doc, qry = random_embeddings(rng, 1, 5, 3, 5)
         tape = Tape()
         with pytest.raises(ContractViolation, match="qe"):
-            encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
+            encode_full(
+                tape.constant(doc), tape.constant(qry), cfg, params, np.ones((1, 5)), np.ones((1, 3))
+            )
 
     @staticmethod
-    def one_round_per_preset():
-        """Each preset's final readings after one round. The input width
-        equals hidden, so every reading has the same shape under every
-        preset and all six draw identical parameters from one seed."""
+    def readings_per_preset(hops):
+        """Each preset's final readings and energies after `hops` rounds.
+        The input width equals hidden, so every reading has the same
+        shape under every preset and all six draw identical parameters
+        from one seed."""
         rng = np.random.default_rng(23)
         doc, qry = random_embeddings(rng, 2, 6, 4, 8)
         dmask = suffix_mask(rng, 2, 6)
         qmask = suffix_mask(rng, 2, 4)
         readings, weights = {}, {}
         for name in sorted(ABLATION_PRESETS):
-            cfg = ReaderConfig.from_preset(name, hops=1, hidden=8, qe_comm=False)
+            cfg = ReaderConfig.from_preset(name, hops=hops, hidden=8, qe_comm=False)
             params = ReaderParams.create(np.random.default_rng(99), cfg, 8)
             tape = Tape()
-            doc_enc, qry_enc, _ = encode_full(
+            doc_enc, qry_enc, energies = encode_full(
                 tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask
             )
-            readings[name] = (doc_enc.data, qry_enc.data)
+            readings[name] = (doc_enc.data, qry_enc.data, energies)
             weights[name] = [p.data for p in params.parameters()]
         return readings, weights
 
@@ -268,15 +273,29 @@ class TestEncodeFull:
         # two presets, since each pair differs in the query reading's
         # input (gated, previous reading or raw embeddings) or its
         # initial states.
-        readings, weights = self.one_round_per_preset()
-        doc_enc, qry_enc = readings[preset]
+        readings, weights = self.readings_per_preset(1)
+        doc_enc, qry_enc, _ = readings[preset]
         assert np.isfinite(doc_enc).all() and np.isfinite(qry_enc).all()
-        for other, (other_doc, other_qry) in readings.items():
+        for other, (other_doc, other_qry, _) in readings.items():
             for mine, theirs in zip(weights[preset], weights[other]):
                 np.testing.assert_array_equal(mine, theirs)
             np.testing.assert_array_equal(doc_enc, other_doc)
             if other != preset:
                 assert not np.allclose(qry_enc, other_qry), (preset, other)
+        # Past one round the hop-1 energies still read only reading 0, so
+        # they agree across presets; the hop-2 energies read the round-1
+        # query reading, and the final document reading is gated by it,
+        # so both differ between any two presets.
+        for hops in (2, 3):
+            readings, weights = self.readings_per_preset(hops)
+            doc_enc, _, energies = readings[preset]
+            for other, (other_doc, _, other_energies) in readings.items():
+                for mine, theirs in zip(weights[preset], weights[other]):
+                    np.testing.assert_array_equal(mine, theirs)
+                np.testing.assert_array_equal(energies[0], other_energies[0])
+                if other != preset:
+                    assert not np.allclose(energies[1], other_energies[1]), (hops, preset, other)
+                    assert not np.allclose(doc_enc, other_doc), (hops, preset, other)
 
     def test_flags_off_matches_independent_reference(self):
         rng = np.random.default_rng(24)
@@ -301,7 +320,9 @@ class TestEncodeFull:
         doc, qry = random_embeddings(rng, 1, 5, 3, 5)
 
         tape = Tape()
-        short_d, short_q, _ = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
+        short_d, short_q, _ = encode_full(
+            tape.constant(doc), tape.constant(qry), cfg, params, np.ones((1, 5)), np.ones((1, 3))
+        )
 
         pad_doc = np.concatenate([doc, rng.normal(size=(1, 4, 5))], axis=1)
         pad_qry = np.concatenate([qry, rng.normal(size=(1, 2, 5))], axis=1)
@@ -318,10 +339,10 @@ class TestEncodeFull:
         cfg, params = tiny_setup(rng, qe=False)
         doc, qry = random_embeddings(rng, 1, 5, 3, 5)
         tape = Tape()
-        doc_enc, qry_enc, _ = encode_full(tape.constant(doc), tape.constant(qry), cfg, params)
-        loss = tape.add(
-            tape.sum_all(tape.mul(doc_enc, doc_enc)), tape.sum_all(tape.mul(qry_enc, qry_enc))
+        doc_enc, qry_enc, _ = encode_full(
+            tape.constant(doc), tape.constant(qry), cfg, params, np.ones((1, 5)), np.ones((1, 3))
         )
+        loss = tape.add(sum_all(tape.mul(doc_enc, doc_enc)), sum_all(tape.mul(qry_enc, qry_enc)))
         grads = backward(tape, loss)
         for p in params.parameters():
             if p.id.endswith("bias"):

@@ -5,7 +5,9 @@ referenced somewhere in src/dgreader outside its own body. References
 are matched by name (a plain name or an attribute spelled the same,
 other than one read off `np`), not by resolved target, so the guard
 finds entry points that nothing in the package reaches, not every
-unused overload.
+unused overload. Likewise every name a class declares in `__slots__`
+must be read as an attribute somewhere in src/dgreader: state that is
+written but never read is dead weight on every instance.
 """
 
 import ast
@@ -16,10 +18,13 @@ import dgreader
 
 PACKAGE = Path(dgreader.__file__).parent
 
-# Unreferenced in src/ on purpose: the Tape primitives that the
-# gru_cell oracle and the op tests are built from, and the constructor
-# the benchmark builds its reader configurations with.
-ALLOWED = {"Tape.sigmoid", "Tape.tanh", "Tape.sum_all", "ReaderConfig.from_preset"}
+# Unreferenced in src/ on purpose: the constructor the benchmark builds
+# its reader configurations with.
+ALLOWED = {"ReaderConfig.from_preset"}
+
+
+def trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
 
 
 def names_in(node: ast.AST) -> Counter:
@@ -49,14 +54,38 @@ def definitions(tree: ast.Module):
 
 
 def unreferenced() -> list[str]:
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
-    everywhere = sum((names_in(tree) for tree in trees), Counter())
+    parsed = trees()
+    everywhere = sum((names_in(tree) for tree in parsed), Counter())
     return sorted(
         qualified
-        for tree in trees
+        for tree in parsed
         for qualified, node in definitions(tree)
         if everywhere[node.name] - names_in(node)[node.name] == 0
     )
+
+
+def slots(tree: ast.Module):
+    """(qualified name, slot name) for each name in the __slots__ of a
+    module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    for elt in item.value.elts:
+                        yield f"{node.name}.{elt.value}", elt.value
+
+
+def unread_slots() -> list[str]:
+    parsed = trees()
+    read = {
+        sub.attr
+        for tree in parsed
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return sorted(qualified for tree in parsed for qualified, name in slots(tree) if name not in read)
 
 
 def test_every_function_and_public_method_has_a_caller_in_src():
@@ -66,3 +95,8 @@ def test_every_function_and_public_method_has_a_caller_in_src():
 
 def test_allowlist_names_only_unreferenced_definitions():
     assert ALLOWED <= set(unreferenced())
+
+
+def test_every_slot_is_read_in_src():
+    unread = unread_slots()
+    assert not unread, f"declared in __slots__ but never read in src/dgreader: {unread}"
