@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -180,7 +180,7 @@ class McNemarResult:
     p_value: float
 
     def to_json(self) -> str:
-        return json.dumps({"b": self.b, "c": self.c, "p_value": self.p_value})
+        return json.dumps(asdict(self))
 
 
 def mcnemar_exact(b: int, c: int) -> float:

@@ -267,36 +267,32 @@ class Tape:
 
         return self._node(np.swapaxes(a.data, -1, -2), (a,), bwd, "transpose_last2")
 
-    def select(self, a: Tensor, key: tuple) -> Tensor:
-        """Basic (slice and integer) indexing: out = a[key], copied."""
+    def select(self, a: Tensor, key) -> Tensor:
+        """out = a[key], copied: the one indexing op. key is any numpy
+        index: slices and integers, or integer arrays for a table lookup
+        (table[ids]) or one step per row (a[rows, idx]). The backward
+        scatters with np.add.at, so repeated rows accumulate. An integer
+        array reaching outside its axis raises ContractViolation naming
+        the axis, so a negative index never wraps around."""
+        parts = key if isinstance(key, tuple) else (key,)
+        for i, part in enumerate(parts):
+            if isinstance(part, np.ndarray) and part.size:
+                after_ellipsis = any(p is Ellipsis for p in parts[:i])
+                axis = a.data.ndim - len(parts) + i if after_ellipsis else i
+                size = a.data.shape[axis]
+                if part.min() < 0 or part.max() >= size:
+                    raise ContractViolation(
+                        f"select index out of range [0, {size}) on axis {axis}: "
+                        f"min={part.min()}, max={part.max()}"
+                    )
 
         def bwd(out):
             if a.needs_grad:
                 buf = np.zeros_like(a.data)
-                buf[key] = out.grad
+                np.add.at(buf, key, out.grad)
                 _acc(a, buf)
 
         return self._node(np.ascontiguousarray(a.data[key]), (a,), bwd, "select")
-
-    def take_time(self, a: Tensor, idx: np.ndarray) -> Tensor:
-        """Per-row step selection along axis 1: out[b] = a[b, idx[b]]."""
-        idx = np.asarray(idx, dtype=np.int64)
-        batch = a.data.shape[0]
-        if idx.shape != (batch,):
-            raise DimensionError(f"take_time index shape {idx.shape} does not match batch {batch}")
-        if idx.min() < 0 or idx.max() >= a.data.shape[1]:
-            raise ContractViolation(
-                f"take_time index out of range [0, {a.data.shape[1]}): {idx}"
-            )
-        rows = np.arange(batch)
-
-        def bwd(out):
-            if a.needs_grad:
-                buf = np.zeros_like(a.data)
-                buf[rows, idx] = out.grad
-                _acc(a, buf)
-
-        return self._node(np.ascontiguousarray(a.data[rows, idx]), (a,), bwd, "take_time")
 
     # ---- reductions ----
 
@@ -308,12 +304,11 @@ class Tape:
 
         return self._node(a.data.mean(), (a,), bwd, "mean_all")
 
-    def sum_last(self, a: Tensor, keepdims: bool = True) -> Tensor:
+    def sum_last(self, a: Tensor) -> Tensor:
         def bwd(out):
-            g = out.grad if keepdims else np.expand_dims(out.grad, -1)
-            _acc(a, np.broadcast_to(g, a.data.shape))
+            _acc(a, np.broadcast_to(out.grad, a.data.shape))
 
-        return self._node(a.data.sum(axis=-1, keepdims=keepdims), (a,), bwd, "sum_last")
+        return self._node(a.data.sum(axis=-1, keepdims=True), (a,), bwd, "sum_last")
 
     # ---- attention / regularization ----
 
@@ -344,24 +339,6 @@ class Tape:
                 _acc(a, y * (out.grad - inner))
 
         return self._node(y, (a,), bwd, "masked_softmax")
-
-    def gather_rows(self, table: Tensor, ids: np.ndarray) -> Tensor:
-        """Embedding lookup: out[..., :] = table[ids[...], :]."""
-        ids = np.asarray(ids, dtype=np.int64)
-        vocab = table.data.shape[0]
-        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-            raise ContractViolation(
-                f"gather_rows id out of range [0, {vocab}): min={ids.min()}, max={ids.max()}"
-            )
-        width = table.data.shape[1]
-
-        def bwd(out):
-            if table.needs_grad:
-                buf = np.zeros_like(table.data)
-                np.add.at(buf, ids.reshape(-1), out.grad.reshape(-1, width))
-                _acc(table, buf)
-
-        return self._node(table.data[ids], (table,), bwd, "gather_rows")
 
     def dropout(self, a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
         """Inverted dropout, drawing its mask from rng. Without a generator
@@ -709,7 +686,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     Every read is checked against the file's length, so a file cut short
     raises ParseError naming the file, the entry being read and the byte
-    offset where its data runs out.
+    offset where its data runs out. An entry name that is not UTF-8 is a
+    ParseError located the same way.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -737,7 +715,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for index in range(count):
         where = f"entry {index}"
-        name = read("u1", int(read("<u4", 1)[0])).tobytes().decode("utf-8")
+        raw = read("u1", int(read("<u4", 1)[0])).tobytes()
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: {where} name is not UTF-8 at byte {off - len(raw) + exc.start}"
+            ) from None
         where = f"entry {index} ({name!r})"
         shape = tuple(int(d) for d in read("<i8", int(read("<u4", 1)[0])))
         out[name] = read("<f8", int(np.prod(shape))).reshape(shape).copy()

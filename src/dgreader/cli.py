@@ -45,7 +45,7 @@ from .corpus import (
     save_vocab,
 )
 from .embed import EmbedConfig, load_pretrained_vectors
-from .errors import ConfigError, ContractViolation, NumericalError
+from .errors import ConfigError, ContractViolation, NumericalError, ParseError
 from .gradcheck import check_gradients
 from .model import Model, assemble_batch
 from .ranker import dump_predictions, load_predictions, prediction_record
@@ -122,7 +122,10 @@ def _format_value(value) -> str:
 
 def load_config_file(path) -> dict:
     cfg = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for number, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -141,7 +144,7 @@ def resolve_config(args) -> dict:
     """Defaults, then config file, then preset, then --set, last wins."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
+        cfg.update(load_config_file(_require_file(args, "--config")))
     if getattr(args, "preset", None):
         for name, value in ABLATION_PRESETS[args.preset].items():
             cfg[f"reader.{name}"] = value
@@ -183,11 +186,14 @@ def load_split(path, cfg: dict, lowercase: bool | None = None):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"data file not found: {path}")
-    if cfg["data.format"] == "cbt":
-        lower = cfg["data.lowercase"] if lowercase is None else lowercase
-        return parse_cbt(path.read_text(encoding="utf-8"), lowercase=lower)
-    if cfg["data.format"] == "jsonl":
-        return load_jsonl(path)
+    try:
+        if cfg["data.format"] == "cbt":
+            lower = cfg["data.lowercase"] if lowercase is None else lowercase
+            return parse_cbt(path.read_text(encoding="utf-8"), lowercase=lower)
+        if cfg["data.format"] == "jsonl":
+            return load_jsonl(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raise ConfigError(f"config key data.format: unknown format {cfg['data.format']!r}")
 
 

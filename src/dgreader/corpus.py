@@ -326,7 +326,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def _read_vocab_file(path) -> list[str]:
-    entries: list[str] = []
+    lines: dict[str, int] = {}  # token -> line of its entry, in id order
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -335,12 +335,14 @@ def _read_vocab_file(path) -> list[str]:
             token, sep, ident = line.rpartition("\t")
             if not sep or not ident.isdigit():
                 raise ParseError(f"{path} line {number}: expected 'token<TAB>id'")
-            if int(ident) != len(entries):
+            if int(ident) != len(lines):
                 raise ParseError(
-                    f"{path} line {number}: id {ident} out of order (expected {len(entries)})"
+                    f"{path} line {number}: id {ident} out of order (expected {len(lines)})"
                 )
-            entries.append(token)
-    return entries
+            first = lines.setdefault(token, number)
+            if first != number:
+                raise ParseError(f"{path} line {number}: token {token!r} repeats line {first}")
+    return list(lines)
 
 
 def load_vocab(path) -> Vocabulary:

@@ -7,10 +7,10 @@ and the padding row is zero. The character side runs a bidirectional
 GRU over the token's characters, concatenates the two final
 states and applies a linear map; those parameters do train.
 
-A character feature depends only on the token's surface form, so a
-batch composes it once per distinct type (as in C2W, Ling et al. 2015):
-one character scan over the batch's type table, then each position
-takes its type's row.
+A token's embedding depends only on its surface form, so a batch
+builds it once per distinct type (as in C2W, Ling et al. 2015): one
+table of word rows beside one character scan's compositions, then each
+position takes its type's row.
 
 Pretrained vector text format: one token per line followed by its
 space-separated float components.
@@ -84,17 +84,13 @@ def load_pretrained_vectors(
                 warnings.warn(f"{path} line {number}: duplicate vector for {token!r}, last wins")
             vectors[token] = row
 
-    data = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(vocab.word_size, dim))
-    data[PAD_ID] = 0.0
+    table = random_word_table(vocab, dim, rng)
     covered = 0
-    for idx, word in enumerate(vocab.id_to_word):
-        if idx < 3:
-            continue
+    for idx, word in enumerate(vocab.id_to_word[3:], 3):
         if word in vectors:
-            data[idx] = vectors[word]
+            table.data[idx] = vectors[word]
             covered += 1
-    denom = max(vocab.word_size - 3, 1)
-    return Parameter("embed.word", data, trainable=False), covered / denom
+    return table, covered / max(vocab.word_size - 3, 1)
 
 
 class CharEmbedder:
@@ -127,7 +123,7 @@ class CharEmbedder:
         if char_ids.ndim != 2:
             raise DimensionError(f"char id matrix must be (N, L), got {char_ids.shape}")
         table = tape.watch(self.table)
-        emb = tape.gather_rows(table, char_ids)  # (N, L, char_dim)
+        emb = tape.select(table, char_ids)  # (N, L, char_dim)
         both = tape.concat_last(final_states(bigru(emb, None, None, self.gru, char_mask)))
         return tape.add(tape.matmul(both, tape.watch(self.proj_w)), tape.watch(self.proj_b))
 
@@ -177,20 +173,17 @@ class TokenEmbedder:
         """Document and query embeddings, (B, n|m, token_dim), of a
         model.Batch.
 
-        The character embedder runs once over the batch's type table;
-        each position then gathers its type's row, and the word half its
-        word id's row. Padding positions (mask 0) are zero in both
-        halves.
+        One (U, token_dim) type table holds each distinct type's word
+        row beside its character composition, from one run of the
+        character embedder over the batch's types. Each side is one
+        select of its type rows times its mask, so padding positions
+        (mask 0) are zero in both halves.
         """
         chars = self.char.embed_ids(tape, batch.char_ids, batch.char_mask)
-        words = tape.watch(self.word_table)
-
-        def place(word_ids, types, mask):
-            typed = tape.gather_rows(chars, types)
-            typed = tape.mul(typed, tape.constant(mask[:, :, None]))
-            return tape.concat_last([tape.gather_rows(words, word_ids), typed])
-
-        return (
-            place(batch.doc_ids, batch.doc_types, batch.doc_mask),
-            place(batch.qry_ids, batch.qry_types, batch.qry_mask),
+        words = tape.select(tape.watch(self.word_table), batch.word_ids)
+        table = tape.concat_last([words, chars])
+        sides = ((batch.doc_types, batch.doc_mask), (batch.qry_types, batch.qry_mask))
+        return tuple(
+            tape.mul(tape.select(table, types), tape.constant(mask[:, :, None]))
+            for types, mask in sides
         )

@@ -1,15 +1,16 @@
 """The trainable reader: embeddings + encoding pass + ranking, batched.
 
-A Batch packs padded id tensors and masks for a group of samples, plus
-one table of the distinct surface forms across all its documents and
-queries, so that the character embedder runs once per type, not once
-per position. The forward pass builds one tape covering embedding, the
-full encoding pass, the token distribution and the candidate
-distribution, plus the mean negative log likelihood when every sample
-in the batch is labeled. Padding never leaks: masked scans freeze
-states across padded steps and both softmaxes mask padded positions to
-exact zeros, so a sample's encodings and distributions are identical
-however much padding its batch forces.
+A Batch holds one table of the distinct surface forms across all the
+documents and queries of a group of samples (each type's word id and
+characters), plus each position's row in that table and padding masks,
+so that a token is embedded once per type, not once per position.
+The forward pass builds one tape covering embedding, the full encoding
+pass, the token distribution and the candidate distribution, plus the
+mean negative log likelihood when every sample in the batch is
+labeled. Padding never leaks: masked scans freeze states across padded
+steps and both softmaxes mask padded positions to exact zeros, so a
+sample's encodings and distributions are identical however much
+padding its batch forces.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor
-from .corpus import PAD_ID, PLACEHOLDER, ClozeSample, Vocabulary
+from .corpus import PLACEHOLDER, ClozeSample, Vocabulary
 from .embed import EmbedConfig, TokenEmbedder, char_id_matrix
 from .errors import ContractViolation, NumericalError
 from .ranker import PredictionDistribution, predict
@@ -28,13 +29,12 @@ from .reader import ReaderConfig, ReaderParams, encode_full
 
 @dataclass
 class Batch:
-    doc_ids: np.ndarray  # (B, n) int64 word ids, PAD_ID on padding
     doc_mask: np.ndarray  # (B, n) 0/1
-    doc_types: np.ndarray  # (B, n) int64 row of each position's type in char_ids, 0 on padding
-    qry_ids: np.ndarray  # (B, m)
-    qry_mask: np.ndarray
+    doc_types: np.ndarray  # (B, n) int64 type row of each position, 0 on padding
+    qry_mask: np.ndarray  # (B, m)
     qry_types: np.ndarray  # (B, m)
-    char_ids: np.ndarray  # (U, Lc) characters of the batch's U distinct types
+    word_ids: np.ndarray  # (U,) int64 word id of each of the batch's U distinct types
+    char_ids: np.ndarray  # (U, Lc) characters of each type
     char_mask: np.ndarray  # (U, Lc) 0/1
     ph_idx: np.ndarray  # (B,) placeholder position per sample
     occurrence: np.ndarray  # (B, g_max, n) 0/1 per candidate, zero rows past a sample's own
@@ -96,8 +96,7 @@ def assemble_batch(samples: list[ClozeSample], vocab: Vocabulary) -> Batch:
     answers = [-1 if s.answer is None else s.candidates.index(s.answer) for s in samples]
     char_ids, char_mask = char_id_matrix(vocab, list(types))
     return Batch(
-        np.where(doc_real, word_ids[doc_types], PAD_ID), doc_real.astype(np.float64), doc_types,
-        np.where(qry_real, word_ids[qry_types], PAD_ID), qry_real.astype(np.float64), qry_types,
+        doc_real.astype(np.float64), doc_types, qry_real.astype(np.float64), qry_types, word_ids,
         char_ids, char_mask, np.array([s.placeholder_index for s in samples], dtype=np.int64),
         hits.astype(np.float64), np.array(answers, dtype=np.int64), qe.astype(np.float64),
         list(samples),
@@ -166,9 +165,10 @@ class Model:
             batch.doc_mask, batch.qry_mask, batch.qe, (dropout, rng),
         )
 
-        size, n = batch.doc_ids.shape
+        size, n = batch.doc_mask.shape
         hidden = self.reader_cfg.hidden
-        at_ph = tape.take_time(qry_enc, batch.ph_idx)  # (B, r)
+        rows = np.arange(size)
+        at_ph = tape.select(qry_enc, (rows, batch.ph_idx))  # (B, r)
         scores = tape.reshape(
             tape.matmul(doc_enc, tape.reshape(at_ph, (size, hidden, 1))), (size, n)
         )
@@ -183,9 +183,7 @@ class Model:
 
         loss = None
         if (batch.answer_idx >= 0).all():
-            onehot = np.zeros(batch.occurrence.shape[:2])
-            onehot[np.arange(size), batch.answer_idx] = 1.0
-            picked = tape.sum_last(tape.mul(cand_probs, tape.constant(onehot)), keepdims=False)
+            picked = tape.select(cand_probs, (rows, batch.answer_idx))
             loss = tape.neg(tape.mean_all(tape.log(picked)))
         return ForwardResult(tape, loss, token_probs, cand_probs, doc_enc, qry_enc, energies)
 

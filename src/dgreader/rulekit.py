@@ -10,7 +10,7 @@ their original casing for the anchor test to mean anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import ClozeSample
 from .errors import ContractViolation
@@ -30,16 +30,7 @@ class RuleDecision:
     answer: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status,
-                "anchor": self.anchor,
-                "direction": self.direction,
-                "collected": self.collected,
-                "survivors": self.survivors,
-                "answer": self.answer,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _uppercase_initial(token: str) -> bool:
@@ -126,14 +117,8 @@ class RuleCoverage:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "total": self.total,
-                "solved": self.solved,
-                "correct": self.correct,
-                "wrong": self.wrong,
-                "correct_fraction": self.correct_fraction,
-                "wrong_fraction": self.wrong_fraction,
-            }
+            {**asdict(self), "correct_fraction": self.correct_fraction,
+             "wrong_fraction": self.wrong_fraction}
         )
 
 

@@ -119,7 +119,7 @@ def embed_positions(
     one character row per position. Padding positions (token_mask 0)
     map to the zero vector in both halves."""
     batch, steps = word_ids.shape
-    words = tape.gather_rows(tape.watch(emb.word_table), word_ids)
+    words = tape.select(tape.watch(emb.word_table), word_ids)
     chars = emb.char.embed_ids(
         tape,
         char_ids.reshape(batch * steps, -1),
@@ -134,10 +134,11 @@ def embed_sides(emb: TokenEmbedder, tape: Tape, batch) -> tuple[Tensor, Tensor]:
     """Per-position embeddings of a model.Batch's documents and queries,
     rebuilt from the samples' surface tokens."""
     out = []
-    for word_ids, token_mask, seqs in (
-        (batch.doc_ids, batch.doc_mask, [s.document for s in batch.samples]),
-        (batch.qry_ids, batch.qry_mask, [s.query for s in batch.samples]),
+    for types, token_mask, seqs in (
+        (batch.doc_types, batch.doc_mask, [s.document for s in batch.samples]),
+        (batch.qry_types, batch.qry_mask, [s.query for s in batch.samples]),
     ):
+        word_ids = np.where(token_mask > 0, batch.word_ids[types], PAD_ID)
         # one width per side, as when each side had its own scan
         width = max(len(t) for seq in seqs for t in seq)
         char_ids = np.zeros(word_ids.shape + (width,), dtype=np.int64)
@@ -300,9 +301,7 @@ def assemble_per_sample(samples, vocab) -> Batch:
     m = max(len(s.query) for s in samples)
     g = max(len(s.candidates) for s in samples)
     batch = len(samples)
-    doc_ids = np.zeros((batch, n), dtype=np.int64)
     doc_mask = np.zeros((batch, n))
-    qry_ids = np.zeros((batch, m), dtype=np.int64)
     qry_mask = np.zeros((batch, m))
     doc_types = np.zeros((batch, n), dtype=np.int64)
     qry_types = np.zeros((batch, m), dtype=np.int64)
@@ -313,9 +312,7 @@ def assemble_per_sample(samples, vocab) -> Batch:
     qe = np.zeros((batch, n))
     for b, s in enumerate(samples):
         dn, qm = len(s.document), len(s.query)
-        doc_ids[b, :dn] = [vocab.word_id(t) for t in s.document]
         doc_mask[b, :dn] = 1.0
-        qry_ids[b, :qm] = [vocab.word_id(t) for t in s.query]
         qry_mask[b, :qm] = 1.0
         doc_types[b, :dn] = [types.setdefault(t, len(types)) for t in s.document]
         qry_types[b, :qm] = [types.setdefault(t, len(types)) for t in s.query]
@@ -325,8 +322,9 @@ def assemble_per_sample(samples, vocab) -> Batch:
         if s.answer is not None:
             answer_idx[b] = s.candidates.index(s.answer)
         qe[b, :dn] = qe_comm_features(s.document, s.query)
+    word_ids = np.array([vocab.word_id(t) for t in types], dtype=np.int64)
     char_ids, char_mask = char_id_matrix(vocab, list(types))
     return Batch(
-        doc_ids, doc_mask, doc_types, qry_ids, qry_mask, qry_types, char_ids, char_mask,
+        doc_mask, doc_types, qry_mask, qry_types, word_ids, char_ids, char_mask,
         ph_idx, occurrence, answer_idx, qe, list(samples),
     )

@@ -86,6 +86,20 @@ class TestPrimitivesForward:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
             tape.matmul(a, b)
 
+    @pytest.mark.parametrize(
+        "key, axis",
+        [
+            (np.array([0, -1]), 0),
+            ((np.arange(2), np.array([1, 4])), 1),
+            ((..., np.array([3])), 2),
+        ],
+        ids=["negative", "past-the-axis", "after-ellipsis"],
+    )
+    def test_select_index_outside_its_axis_raises(self, key, axis):
+        tape = Tape()
+        with pytest.raises(ContractViolation, match=f"on axis {axis}"):
+            tape.select(tape.constant(np.zeros((2, 4, 3))), key)
+
     def test_concat_slice_roundtrip(self):
         tape = Tape()
         rng = np.random.default_rng(0)
@@ -235,10 +249,14 @@ class TestBackward:
 
         def run():
             tape = Tape()
-            e = tape.gather_rows(tape.watch(table), ids)
+            e = tape.select(tape.watch(table), ids)
             e = tape.reshape(e, (2, 12))
             e = tape.transpose_last2(tape.reshape(e, (2, 3, 4)))
+            step = tape.select(e, (np.arange(2), np.array([3, 1])))  # one step per row
+            again = tape.select(tape.watch(table), np.array([5, 5, 1]))  # repeated ids
             loss = sum_all(tape.log(tape.add(tape.mul(e, e), tape.constant(1.0))))
+            loss = tape.add(loss, sum_all(tape.mul(step, step)))
+            loss = tape.add(loss, sum_all(tape.mul(again, again)))
             return tape, loss
 
         tape, loss = run()
@@ -525,6 +543,16 @@ class TestCheckpoint:
         assert len(path.read_bytes()) == 237
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ParseError, match=re.escape(f"model.ckpt: truncated in {where}:")):
+            load_checkpoint(path)
+
+    def test_name_not_utf8_raises_located_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint([Parameter("a.w", np.ones((3, 5)))], path)
+        blob = bytearray(path.read_bytes())
+        blob[17] = 0xFF  # the second byte of entry 0's name, which starts at byte 16
+        path.write_bytes(bytes(blob))
+        message = "model.ckpt: entry 0 name is not UTF-8 at byte 17"
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_checkpoint(path)
 
 

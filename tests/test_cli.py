@@ -347,6 +347,38 @@ class TestExitCodes:
         assert code == 2
         assert f"cut.ckpt: truncated in {where}" in capsys.readouterr().err
 
+    def test_checkpoint_name_not_utf8_maps_to_two(self, tmp_path, trained, corpus, capsys):
+        bad = tmp_path / "bad.ckpt"
+        blob = bytearray((trained / "model.ckpt").read_bytes())
+        blob[16] = 0xFF  # the first byte of entry 0's name
+        bad.write_bytes(bytes(blob))
+        code = cli.main([
+            "eval", "--config", str(trained / "config.txt"),
+            "--checkpoint", str(bad),
+            "--vocab", str(trained / "vocab.txt"),
+            "--data", str(corpus),
+        ])
+        assert code == 2
+        assert "bad.ckpt: entry 0 name is not UTF-8 at byte 16" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        code = cli.main(["train", "--out", str(tmp_path / "x"), "--config", "missing.txt"])
+        assert code == 1
+        assert "--config: file not found: missing.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, code", [("--config", 1), ("--data", 2)])
+    def test_file_not_utf8_is_named(self, tmp_path, trained, corpus, capsys, which, code):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + "reader.hops = 1\n".encode("utf-16-le"))
+        files = {"--config": trained / "config.txt", "--data": corpus, which: bad}
+        assert cli.main([
+            "eval", "--config", str(files["--config"]),
+            "--checkpoint", str(trained / "model.ckpt"),
+            "--vocab", str(trained / "vocab.txt"),
+            "--data", str(files["--data"]),
+        ]) == code
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
     def test_unknown_set_key_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--set", "nope=1"]) == 1
         assert "nope" in capsys.readouterr().err

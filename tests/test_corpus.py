@@ -2,6 +2,7 @@
 construction, and the synthetic generator."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,18 @@ class TestVocabulary:
         )
         vocab = build_vocab([self.split(), dev])
         assert "zz" not in vocab.word_to_id
+
+    @pytest.mark.parametrize("suffix", ["", ".chars"], ids=["words", "chars"])
+    def test_repeated_token_names_file_line_and_first_line(self, tmp_path, suffix):
+        path = tmp_path / "vocab.txt"
+        save_vocab(build_vocab(self.split()), path)
+        target = Path(f"{path}{suffix}")
+        lines = target.read_text(encoding="utf-8").splitlines()
+        first = 1 + [line.split("\t")[0] for line in lines].index("b")
+        target.write_text("\n".join(lines + [f"b\t{len(lines)}"]) + "\n", encoding="utf-8")
+        message = f"{target} line {len(lines) + 1}: token 'b' repeats line {first}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_vocab(path)
 
     def test_roundtrip_through_dump(self, tmp_path):
         vocab = build_vocab(self.split())

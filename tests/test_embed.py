@@ -96,11 +96,11 @@ class TestCharEmbedder:
         table = chain.watch(emb.char.table)
         h = chain.constant(np.zeros((1, cfg.char_hidden)))
         for i in ids:
-            h = gru_cell(chain.gather_rows(table, np.array([i])), h, emb.char.gru, 0)
+            h = gru_cell(chain.select(table, np.array([i])), h, emb.char.gru, 0)
         fwd_final = h
         h = chain.constant(np.zeros((1, cfg.char_hidden)))
         for i in reversed(ids):
-            h = gru_cell(chain.gather_rows(table, np.array([i])), h, emb.char.gru, 1)
+            h = gru_cell(chain.select(table, np.array([i])), h, emb.char.gru, 1)
         both = chain.concat_last([fwd_final, h])
         expected = chain.add(
             chain.matmul(both, chain.watch(emb.char.proj_w)), chain.watch(emb.char.proj_b)

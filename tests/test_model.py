@@ -68,14 +68,14 @@ class TestBatchAssembly:
         batch = assemble_batch(split.samples[:4], vocab)
         n = max(len(s.document) for s in split.samples[:4])
         m = max(len(s.query) for s in split.samples[:4])
-        assert batch.doc_ids.shape == (4, n)
-        assert batch.qry_ids.shape == (4, m)
+        assert batch.word_ids[batch.doc_types].shape == (4, n)
+        assert batch.word_ids[batch.qry_types].shape == (4, m)
         assert batch.doc_mask.shape == (4, n)
         assert batch.occurrence.shape[0] == 4 and batch.occurrence.shape[2] == n
         for b, s in enumerate(split.samples[:4]):
             assert batch.doc_mask[b].sum() == len(s.document)
             assert batch.qry_mask[b].sum() == len(s.query)
-            assert (batch.doc_ids[b, len(s.document):] == 0).all()
+            assert (batch.doc_types[b, len(s.document):] == 0).all()
             assert batch.ph_idx[b] == s.placeholder_index
 
     def test_occurrence_rows_follow_candidate_order(self, small_world):
@@ -143,7 +143,8 @@ class TestAssemblyOracle:
         assert any(s.answer is None for s in samples)
         for group in (samples, samples[:1], samples[-1:], samples[1:3]):
             got, want = assemble_batch(group, vocab), assemble_per_sample(group, vocab)
-            assert (got.doc_ids == UNK_ID).any() and (got.qry_ids == UNK_ID).any()
+            assert (got.word_ids[got.doc_types] == UNK_ID).any()
+            assert (got.word_ids[got.qry_types] == UNK_ID).any()
             assert got.qe.any() and (got.occurrence.sum(axis=2) >= 2).any()
             assert got.samples == want.samples
             for field in dataclasses.fields(Batch):
@@ -171,7 +172,7 @@ class TestForward:
         model = small_model(vocab)
         batch = assemble_batch(split.samples[:3], vocab)
         out = model.forward_batch(batch)
-        assert out.token_probs.data.shape == batch.doc_ids.shape
+        assert out.token_probs.data.shape == batch.doc_mask.shape
         np.testing.assert_allclose(out.token_probs.data.sum(-1), 1.0, atol=1e-9)
         np.testing.assert_allclose(out.cand_probs.data.sum(-1), 1.0, atol=1e-9)
         assert (out.token_probs.data * (1.0 - batch.doc_mask) == 0.0).all()
