@@ -39,19 +39,20 @@ from .corpus import (
     build_vocab,
     dump_jsonl,
     generate_synthetic,
+    load_cbt,
     load_jsonl,
     load_vocab,
-    parse_cbt,
+    open_text,
     save_vocab,
 )
 from .embed import EmbedConfig, load_pretrained_vectors
-from .errors import ConfigError, ContractViolation, NumericalError, ParseError
+from .errors import ConfigError, ContractViolation, NumericalError
 from .gradcheck import check_gradients
 from .model import Model, assemble_batch
 from .ranker import dump_predictions, load_predictions, prediction_record
 from .reader import ABLATION_PRESETS, ReaderConfig
 from .rulekit import disambiguate, evaluate_rule_coverage
-from .trainer import HyperParams, evaluate, make_batches, train
+from .trainer import HyperParams, evaluate, predict_split, train
 
 # Config sections whose keys are the fields of a dataclass, named
 # `<section>.<field>`; HyperParams.seed is the top-level `seed` key.
@@ -91,27 +92,33 @@ CONFIG_DEFAULTS = {
 
 SNAPSHOT_NAME = "config.txt"
 
+# The exit code of each error class; a subclass maps like its base.
+EXIT_CODES = {ConfigError: 1, ContractViolation: 2, NumericalError: 3}
 
-def _parse_value(key: str, raw: str):
-    default = CONFIG_DEFAULTS[key]
-    raw = raw.strip()
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key}: expected an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key}: expected a number, got {raw!r}") from None
-    return raw
+# How a value is parsed for a key whose default has the given type, and
+# what an error calls that type.
+BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+VALUE_PARSERS = {
+    bool: (lambda raw: BOOLEANS[raw.lower()], "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "text"),
+}
+
+
+def _parse_item(item: str, where: str) -> tuple[str, object]:
+    """The key and typed value of one "key = value" item, a config-file
+    line or a --set argument; errors name `where`."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in CONFIG_DEFAULTS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    parse, kind = VALUE_PARSERS[type(CONFIG_DEFAULTS[key])]
+    try:
+        return key, parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: config key {key}: expected {kind}, got {raw!r}") from None
 
 
 def _format_value(value) -> str:
@@ -122,21 +129,12 @@ def _format_value(value) -> str:
 
 def load_config_file(path) -> dict:
     cfg = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for number, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"{path} line {number}: expected 'key = value', got {line!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"{path} line {number}: unknown config key {key!r}")
-        cfg[key] = _parse_value(key, raw)
+    with open_text(path, ConfigError) as fh:
+        for number, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if body:
+                key, value = _parse_item(body, f"{path} line {number}")
+                cfg[key] = value
     return cfg
 
 
@@ -148,14 +146,7 @@ def resolve_config(args) -> dict:
     if getattr(args, "preset", None):
         for name, value in ABLATION_PRESETS[args.preset].items():
             cfg[f"reader.{name}"] = value
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"--set: unknown config key {key!r}")
-        cfg[key] = _parse_value(key, raw)
+    cfg.update(_parse_item(item, "--set") for item in getattr(args, "set", None) or [])
     if hasattr(args, "seed") and args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -186,14 +177,10 @@ def load_split(path, cfg: dict, lowercase: bool | None = None):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"data file not found: {path}")
-    try:
-        if cfg["data.format"] == "cbt":
-            lower = cfg["data.lowercase"] if lowercase is None else lowercase
-            return parse_cbt(path.read_text(encoding="utf-8"), lowercase=lower)
-        if cfg["data.format"] == "jsonl":
-            return load_jsonl(path)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if cfg["data.format"] == "cbt":
+        return load_cbt(path, cfg["data.lowercase"] if lowercase is None else lowercase)
+    if cfg["data.format"] == "jsonl":
+        return load_jsonl(path)
     raise ConfigError(f"config key data.format: unknown format {cfg['data.format']!r}")
 
 
@@ -231,14 +218,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen_synth(args) -> int:
-    synth = SynthConfig(
-        samples=args.samples,
-        vocab_size=args.vocab_size,
-        doc_len=tuple(args.doc_len),
-        qry_len=tuple(args.qry_len),
-        candidates=args.candidates,
-        seed=args.seed,
-    )
+    # the flags are SynthConfig's fields; a tuple field's flag parses to a list
+    synth = SynthConfig(**{
+        f.name: type(f.default)(getattr(args, f.name)) for f in dataclasses.fields(SynthConfig)
+    })
     samples = generate_synthetic(synth)
     out = _out_dir(args)
     dump_jsonl(samples, out / "synth.jsonl")
@@ -273,11 +256,7 @@ def cmd_train(args) -> int:
         checkpoint_path=out / "model.ckpt",
     )
     summary = {
-        "best_epoch": result.best_epoch,
-        "best_dev_acc": result.best_dev_acc,
-        "epochs_run": result.epochs_run,
-        "stopped_early": result.stopped_early,
-        "reached_target": result.reached_target,
+        **{k: v for k, v in dataclasses.asdict(result).items() if k != "rows"},
         "train_samples": len(train_samples),
         "dev_samples": len(dev_samples),
     }
@@ -286,7 +265,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(args, cfg) -> Model:
+def _restore(args) -> tuple[dict, Model, list]:
+    """The resolved config, the model restored from --checkpoint and
+    --vocab, and the --data split, checked in that order."""
+    cfg = resolve_config(args)
     embed_cfg, reader_cfg, _ = config_objects(cfg)
     ckpt = _require_file(args, "--checkpoint")
     vocab = load_vocab(_require_file(args, "--vocab"))
@@ -298,40 +280,29 @@ def _restore_model(args, cfg) -> Model:
             f"{exc}; the resolved config must match the training run, "
             f"pass --config <run>/{SNAPSHOT_NAME}"
         ) from exc
-    return model
+    return cfg, model, load_split(_require_file(args, "--data"), cfg)
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    model = _restore_model(args, cfg)
-    samples = load_split(_require_file(args, "--data"), cfg)
+    cfg, model, samples = _restore(args)
     result = evaluate(model, samples, cfg["hp.batch_size"])
     print(json.dumps({"accuracy": result.accuracy, "nll": result.nll, "count": result.count}))
     return 0
 
 
 def cmd_predict(args) -> int:
-    cfg = resolve_config(args)
-    model = _restore_model(args, cfg)
-    samples = load_split(_require_file(args, "--data"), cfg)
-    records = []
-    for chunk in make_batches(samples, cfg["hp.batch_size"]):
-        batch = assemble_batch(chunk, model.vocab)
-        dists = model.predict_batch(model.forward_batch(batch), batch)
-        for sample, dist in zip(chunk, dists):
-            records.append(
-                prediction_record(
-                    str(len(records)), dist, sample.answer,
-                    len(sample.document), len(sample.query),
-                )
-            )
+    cfg, model, samples = _restore(args)
+    dists = predict_split(model, samples, cfg["hp.batch_size"])
+    records = [
+        prediction_record(str(i), dist, s.answer, len(s.document), len(s.query))
+        for i, (s, dist) in enumerate(zip(samples, dists))
+    ]
     out = _out_dir(args)
     write_snapshot(cfg, out)
     dump_predictions(records, out / "predictions.jsonl")
-    correct = [r["correct"] for r in records if r["correct"] is not None]
     line = {"count": len(records)}
-    if len(correct) == len(records):
-        line["accuracy"] = sum(correct) / len(records)
+    if records and all(s.answer is not None for s in samples):
+        line["accuracy"] = sum(r["correct"] for r in records) / len(records)
     print(json.dumps(line))
     return 0
 
@@ -384,9 +355,7 @@ def cmd_analyze_length(args) -> int:
 
 
 def cmd_analyze_attention(args) -> int:
-    cfg = resolve_config(args)
-    model = _restore_model(args, cfg)
-    samples = load_split(_require_file(args, "--data"), cfg)
+    cfg, model, samples = _restore(args)
     if not 0 <= args.index < len(samples):
         raise ConfigError(f"--index {args.index} outside the split (size {len(samples)})")
     sample = samples[args.index]
@@ -436,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, seed=False, restore=False):
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
@@ -445,15 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
+        if restore:  # the flags _restore reads
+            for flag in ("--checkpoint", "--vocab", "--data"):
+                p.add_argument(flag)
 
     p = sub.add_parser("gen-synth", help="write a deterministic synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--vocab-size", type=int, default=40)
-    p.add_argument("--doc-len", type=int, nargs=2, default=(15, 25), metavar=("LO", "HI"))
-    p.add_argument("--qry-len", type=int, nargs=2, default=(5, 9), metavar=("LO", "HI"))
-    p.add_argument("--candidates", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(SynthConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, tuple):
+            p.add_argument(flag, type=type(f.default[0]), nargs=2, default=f.default,
+                           metavar=("LO", "HI"))
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train a model and keep the best checkpoint")
@@ -462,17 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a split")
-    common(p, seed=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--data")
+    common(p, seed=True, restore=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="dump per-sample prediction records")
-    common(p, seed=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--data")
+    common(p, seed=True, restore=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -491,10 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_length)
 
     p = asub.add_parser("attention", help="export per-hop attention for one sample")
-    common(p, seed=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--data")
+    common(p, seed=True, restore=True)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_attention)
@@ -523,15 +487,9 @@ def main(argv=None) -> int:
         return 0 if exit_request.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as error:
+    except tuple(EXIT_CODES) as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
-    except ContractViolation as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except NumericalError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(error, cls))
 
 
 if __name__ == "__main__":

@@ -14,11 +14,13 @@ Every sample satisfies the same invariants regardless of source:
 exactly one placeholder token in the query, a non-empty document,
 distinct single-token candidates that each occur in the document, and
 an answer (when present) drawn from the candidates. Violations are
-rejected with an error naming the sample ordinal or line number.
+rejected with an error naming the sample ordinal or line number, and the
+file when one was read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -88,8 +90,26 @@ class DatasetSplit:
     name: str
     samples: list[ClozeSample] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.samples)
+
+@contextlib.contextmanager
+def open_text(path, error: type[Exception] = ParseError):
+    """The file opened for reading as UTF-8 text; bytes that are not
+    UTF-8, met anywhere in the with block, raise `error` naming the file.
+    The file is read as it is iterated, never whole."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _load(path, parse) -> list[ClozeSample]:
+    """parse applied to the open file, its errors prefixed with the file."""
+    with open_text(path) as fh:
+        try:
+            return parse(fh)
+        except ParseError as exc:
+            raise ParseError(f"{path} {exc}") from exc
 
 
 def _build_sample(document, query, candidates, answer, where: str) -> ClozeSample:
@@ -121,8 +141,7 @@ def parse_cbt(text: str, lowercase: bool = True) -> list[ClozeSample]:
     """
     blocks: list[list[str]] = []
     current: list[str] = []
-    for raw in text.splitlines():
-        line = raw.rstrip("\n")
+    for line in text.split("\n"):  # not splitlines, which also splits at \x1c, \x85, \u2028
         if line.strip() == "":
             if current:
                 blocks.append(current)
@@ -135,6 +154,10 @@ def parse_cbt(text: str, lowercase: bool = True) -> list[ClozeSample]:
         warnings.warn("no samples found in CBT input")
         return []
     return [_parse_cbt_block(block, ordinal, lowercase) for ordinal, block in enumerate(blocks, 1)]
+
+
+def load_cbt(path, lowercase: bool = True) -> list[ClozeSample]:
+    return _load(path, lambda fh: parse_cbt(fh.read(), lowercase))
 
 
 def _parse_cbt_block(lines: list[str], ordinal: int, lowercase: bool) -> ClozeSample:
@@ -214,8 +237,7 @@ def samples_from_jsonl(lines: Iterable[str]) -> list[ClozeSample]:
 
 
 def load_jsonl(path) -> list[ClozeSample]:
-    with open(path, encoding="utf-8") as fh:
-        return samples_from_jsonl(fh)
+    return _load(path, samples_from_jsonl)
 
 
 def sample_to_record(sample: ClozeSample) -> dict:
@@ -276,16 +298,13 @@ class Vocabulary:
 def build_vocab(splits, min_count: int = 1) -> Vocabulary:
     """Count tokens in the training split and build both id maps.
 
-    splits may be a single DatasetSplit or an iterable; with several
-    splits only those named "train" contribute (falling back to the
-    first split, with a warning, if none is). min_count filters words;
-    characters are always kept. Tokens spelled like a reserved word
-    (RESERVED_WORDS) are not counted, so each maps to its reserved id.
+    splits is an iterable of DatasetSplits; only those named "train"
+    contribute (falling back to the first split, with a warning, if none
+    is). min_count filters words; characters are always kept. Tokens
+    spelled like a reserved word (RESERVED_WORDS) are not counted, so each
+    maps to its reserved id.
     """
-    if isinstance(splits, DatasetSplit):
-        pool = [splits]
-    else:
-        pool = list(splits)
+    pool = list(splits)
     if not pool:
         raise ConfigError("build_vocab needs at least one split")
     source = [s for s in pool if s.name == "train"]
@@ -327,7 +346,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def _read_vocab_file(path) -> list[str]:
     lines: dict[str, int] = {}  # token -> line of its entry, in id order
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -360,7 +379,9 @@ def load_vocab(path) -> Vocabulary:
 
 @dataclass
 class SynthConfig:
-    samples: int
+    """generate_synthetic's settings; `gen-synth` has one flag per field."""
+
+    samples: int = 50
     vocab_size: int = 40
     doc_len: tuple[int, int] = (15, 25)
     qry_len: tuple[int, int] = (5, 9)

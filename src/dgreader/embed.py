@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import BiGRUParams, Parameter, Tape, Tensor, bigru, final_states, glorot
-from .corpus import PAD_ID, Vocabulary
+from .corpus import PAD_ID, Vocabulary, open_text
 from .errors import ConfigError, ContractViolation, DimensionError, ParseError
 
 INIT_RANGE = 0.05
@@ -66,7 +66,7 @@ def load_pretrained_vectors(
     line; a repeated token keeps the last occurrence with a warning.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for number, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:

@@ -24,7 +24,8 @@ class DimensionError(ContractViolation):
 
 
 class ParseError(ContractViolation):
-    """Malformed input data; message carries the sample ordinal or line number."""
+    """Malformed input data; message names the file, when one was read,
+    and the sample ordinal or line number."""
 
 
 class NumericalError(RuntimeError):

@@ -2,25 +2,25 @@
 
 The checked quantity is max over all trainable parameter entries of
 
-    |analytic - numeric| / max(|analytic|, |numeric|, floor)
+    |analytic - numeric| / max(|analytic|, |numeric|, FLOOR)
 
-with numeric = (f(x + h) - f(x - h)) / (2h). The floor keeps
+with numeric = (f(x + h) - f(x - h)) / (2h), h = STEP. The FLOOR keeps
 finite-difference noise on near-zero gradients from dominating the
 ratio while still flagging any absolute disagreement above ~1e-9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .autodiff import Parameter
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-4
-DEFAULT_FLOOR = 1e-5
+STEP = 1e-5
+TOLERANCE = 1e-4
+FLOOR = 1e-5
 
 
 @dataclass
@@ -28,7 +28,6 @@ class GradCheckReport:
     max_rel_error: float
     worst_param: str
     tolerance: float
-    per_param: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -42,9 +41,7 @@ class GradCheckReport:
         )
 
 
-def numeric_gradient(
-    loss_fn: Callable[[], float], param: Parameter, step: float = DEFAULT_STEP
-) -> np.ndarray:
+def numeric_gradient(loss_fn: Callable[[], float], param: Parameter) -> np.ndarray:
     """Central differences of loss_fn with respect to every entry of param.
 
     loss_fn must re-run the forward pass from the parameter's current
@@ -54,12 +51,12 @@ def numeric_gradient(
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         up = loss_fn()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         down = loss_fn()
         flat[i] = orig
-        grad[i] = (up - down) / (2.0 * step)
+        grad[i] = (up - down) / (2.0 * STEP)
     return grad.reshape(param.data.shape)
 
 
@@ -67,9 +64,6 @@ def check_gradients(
     loss_fn: Callable[[], float],
     params: Iterable[Parameter],
     grads: dict[str, np.ndarray],
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-    floor: float = DEFAULT_FLOOR,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
@@ -78,16 +72,14 @@ def check_gradients(
     """
     worst = 0.0
     worst_name = "<none>"
-    per_param: dict[str, float] = {}
     for p in params:
         if not p.trainable:
             continue
         analytic = grads[p.id]
-        numeric = numeric_gradient(loss_fn, p, step=step)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+        numeric = numeric_gradient(loss_fn, p)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), FLOOR)
         err = float((np.abs(analytic - numeric) / denom).max()) if analytic.size else 0.0
-        per_param[p.id] = err
         if err > worst:
             worst = err
             worst_name = p.id
-    return GradCheckReport(worst, worst_name, tolerance, per_param)
+    return GradCheckReport(worst, worst_name, TOLERANCE)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .corpus import open_text
 from .errors import ContractViolation, ParseError
 
 
@@ -74,7 +75,7 @@ def dump_predictions(records: list[dict], path) -> None:
 
 def load_predictions(path) -> list[dict]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue

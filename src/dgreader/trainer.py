@@ -18,6 +18,7 @@ from .autodiff import Parameter, backward, save_checkpoint
 from .corpus import ClozeSample
 from .errors import ConfigError, ContractViolation, NumericalError
 from .model import Model, assemble_batch
+from .ranker import PredictionDistribution
 
 LOG_HEADER = "epoch,train_loss,dev_acc,seconds"
 
@@ -143,23 +144,30 @@ class EvalResult:
     count: int
 
 
-def evaluate(model: Model, samples: list[ClozeSample], batch_size: int = 32) -> EvalResult:
-    """Accuracy and mean gold NLL over a labelled sample list, computed
-    without dropout (the forwards get no generator)."""
-    if not samples:
-        raise ContractViolation("evaluate needs at least one sample")
-    correct = 0
-    gold_probs = []
+def predict_split(
+    model: Model, samples: list[ClozeSample], batch_size: int
+) -> list[PredictionDistribution]:
+    """Each sample's candidate distribution, in order: the one batched
+    inference loop, without dropout (the forwards get no generator)."""
+    dists = []
     for chunk in make_batches(samples, batch_size):
         batch = assemble_batch(chunk, model.vocab)
         # the forward result (and its tape) dies once predict_batch returns
-        dists = model.predict_batch(model.forward_batch(batch), batch)
-        for dist, sample in zip(dists, chunk):
-            if sample.answer is None:
-                raise ContractViolation("evaluate needs gold answers on every sample")
-            correct += dist.predicted == sample.answer
-            gold_probs.append(dist.candidate_probs[sample.answer])
-    return EvalResult(correct / len(samples), mean_nll(gold_probs), len(samples))
+        dists.extend(model.predict_batch(model.forward_batch(batch), batch))
+    return dists
+
+
+def evaluate(model: Model, samples: list[ClozeSample], batch_size: int = 32) -> EvalResult:
+    """Accuracy and mean gold NLL, in sample order, of predict_split over
+    a sample list whose every sample has a gold answer."""
+    if not samples:
+        raise ContractViolation("evaluate needs at least one sample")
+    if any(sample.answer is None for sample in samples):
+        raise ContractViolation("evaluate needs gold answers on every sample")
+    pairs = list(zip(predict_split(model, samples, batch_size), samples))
+    correct = sum(dist.predicted == sample.answer for dist, sample in pairs)
+    nll = mean_nll(dist.candidate_probs[sample.answer] for dist, sample in pairs)
+    return EvalResult(correct / len(samples), nll, len(samples))
 
 
 @dataclass

@@ -11,7 +11,7 @@ import pytest
 
 from dgreader import cli
 from dgreader.autodiff import load_checkpoint
-from dgreader.corpus import PAD_ID, UNK_ID, load_vocab
+from dgreader.corpus import PAD_ID, UNK_ID, SynthConfig, load_vocab
 from dgreader.embed import EmbedConfig
 from dgreader.errors import ParseError
 from dgreader.gradcheck import GradCheckReport
@@ -106,6 +106,16 @@ class TestGenSynth:
         assert cli.main(argv + ["--out", str(a)]) == 0
         assert cli.main(argv + ["--out", str(b)]) == 0
         assert (a / "synth.jsonl").read_bytes() == (b / "synth.jsonl").read_bytes()
+
+    def test_every_field_has_a_flag_of_its_type(self, tmp_path):
+        # a non-default value for every field, each read back from synth_config.json
+        argv, expected = ["gen-synth", "--out", str(tmp_path)], {}
+        for f in dataclasses.fields(SynthConfig):
+            values = [v + 1 for v in f.default] if isinstance(f.default, tuple) else [f.default + 1]
+            argv += [f"--{f.name.replace('_', '-')}", *map(str, values)]
+            expected[f.name] = values if isinstance(f.default, tuple) else values[0]
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / "synth_config.json").read_text()) == expected
 
     def test_infeasible_config_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["gen-synth", "--out", str(tmp_path / "x"),
@@ -257,10 +267,7 @@ class TestGradcheckCommand:
 
     def test_failure_maps_to_exit_three(self, monkeypatch, capsys):
         def fake_check(loss_fn, params, grads, **kw):
-            return GradCheckReport(
-                max_rel_error=1.0, worst_param="w", tolerance=1e-4,
-                per_param={"w": 1.0},
-            )
+            return GradCheckReport(max_rel_error=1.0, worst_param="w", tolerance=1e-4)
         monkeypatch.setattr(cli, "check_gradients", fake_check)
         assert cli.main(["gradcheck"]) == 3
         assert "gradient check failed" in capsys.readouterr().err
@@ -366,18 +373,54 @@ class TestExitCodes:
         assert code == 1
         assert "--config: file not found: missing.txt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("which, code", [("--config", 1), ("--data", 2)])
+    @pytest.mark.parametrize("which, code", [("--config", 1), ("--data", 2), ("--vocab", 2)])
     def test_file_not_utf8_is_named(self, tmp_path, trained, corpus, capsys, which, code):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe" + "reader.hops = 1\n".encode("utf-16-le"))
-        files = {"--config": trained / "config.txt", "--data": corpus, which: bad}
+        files = {"--config": trained / "config.txt", "--data": corpus,
+                 "--vocab": trained / "vocab.txt", which: bad}
         assert cli.main([
             "eval", "--config", str(files["--config"]),
             "--checkpoint", str(trained / "model.ckpt"),
-            "--vocab", str(trained / "vocab.txt"),
+            "--vocab", str(files["--vocab"]),
             "--data", str(files["--data"]),
         ]) == code
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_predictions_not_utf8_is_named(self, tmp_path, predictions, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(predictions.read_bytes() + b"\xff\xfe")
+        assert cli.main(["analyze", "mcnemar", "--a", str(bad), "--b", str(predictions)]) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_vectors_not_utf8_is_named_and_train_writes_nothing(self, tmp_path, corpus, capsys):
+        bad = tmp_path / "embed.vectors"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--out", str(out),
+            "--set", f"data.train={corpus}", "--set", f"data.dev={corpus}",
+            *TINY_MODEL_SETS, "--set", f"embed.vectors={bad}",
+        ]) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, text, fmt, message", [
+        ("bad.jsonl", '{"document": ["a"]}\n', "jsonl", "line 1: missing key 'query'"),
+        ("one.cbt", "1 the cat ran\n", "cbt", "sample 1: expected 21 lines, got 1"),
+    ], ids=["jsonl", "cbt"])
+    def test_data_error_names_the_dev_file(self, tmp_path, corpus, capsys, name, text, fmt, message):
+        # with a good train file the error must say which split is at fault
+        good = DATA / "rule_example.cbt" if fmt == "cbt" else corpus
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--out", str(out), "--set", f"data.format={fmt}",
+            "--set", f"data.train={good}", "--set", f"data.dev={bad}", *TINY_MODEL_SETS,
+        ]) == 2
+        assert f"error: {bad} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_set_key_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--set", "nope=1"]) == 1
@@ -514,3 +557,18 @@ def test_predict_numbers_samples_across_batches(tmp_path, trained, corpus):
     samples = [json.loads(line) for line in corpus.read_text().splitlines()]
     assert [r["sample_id"] for r in records] == [str(i) for i in range(len(samples))]
     assert [r["doc_len"] for r in records] == [len(s["document"]) for s in samples]
+
+
+def test_predict_on_an_empty_split_writes_no_records(tmp_path, trained, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "preds"
+    code = cli.main([
+        "predict", "--config", str(trained / "config.txt"),
+        "--checkpoint", str(trained / "model.ckpt"),
+        "--vocab", str(trained / "vocab.txt"),
+        "--data", str(empty), "--out", str(out),
+    ])
+    assert code == 0
+    assert (out / "predictions.jsonl").read_text() == ""
+    assert json.loads(capsys.readouterr().out) == {"count": 0}

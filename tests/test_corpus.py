@@ -97,6 +97,13 @@ class TestParseCBT:
         with pytest.raises(ParseError, match="sample 2"):
             parse_cbt(text)
 
+    def test_only_newlines_end_a_line(self):
+        # str.splitlines would also split at these; CBT splits tokens at them instead
+        lines = small_block().splitlines()
+        lines[0] = "1 the cat\x1cran\x85off\u2028far"
+        (sample,) = parse_cbt("\n".join(lines))
+        assert sample.document[:5] == ["the", "cat", "ran", "off", "far"]
+
     def test_duplicate_candidates_collapse_with_warning(self):
         cands = "cat|cat|dog|bird|fish|cow|pig|hen|fox|owl"
         with pytest.warns(UserWarning, match="duplicate"):
@@ -111,6 +118,14 @@ class TestJSONL:
         path = tmp_path / "data.jsonl"
         dump_jsonl(samples, path)
         assert load_jsonl(path) == samples
+
+    def test_line_separator_inside_a_token_is_kept(self, tmp_path):
+        # dump_jsonl writes U+2028 and U+0085 unescaped, so only newlines may end a record
+        token = "a\u2028b\x85c"
+        sample = ClozeSample([token, "d"], [token, PLACEHOLDER], ["d"], "d", 1).validate()
+        path = tmp_path / "data.jsonl"
+        dump_jsonl([sample], path)
+        assert load_jsonl(path) == [sample]
 
     def test_answer_may_be_absent(self):
         line = json.dumps(
@@ -195,24 +210,24 @@ class TestVocabulary:
         return DatasetSplit("train", samples)
 
     def test_reserved_ids(self):
-        vocab = build_vocab(self.split())
+        vocab = build_vocab([self.split()])
         assert vocab.word_to_id["<pad>"] == PAD_ID
         assert vocab.word_to_id["<unk>"] == UNK_ID
         assert vocab.word_to_id[PLACEHOLDER] == PLACEHOLDER_ID
         assert vocab.char_to_id["<pad>"] == PAD_ID
 
     def test_frequency_then_token_order(self):
-        vocab = build_vocab(self.split())
+        vocab = build_vocab([self.split()])
         # counts: b=3, a=2, c=2 -> b first, then a before c on the tie
         assert vocab.id_to_word[3:6] == ["b", "a", "c"]
 
     def test_min_count_filters_words_only(self):
-        vocab = build_vocab(self.split(), min_count=3)
+        vocab = build_vocab([self.split()], min_count=3)
         assert vocab.id_to_word[3:] == ["b"]
         assert set(vocab.id_to_char[2:]) == {"a", "b", "c"}
 
     def test_unknown_maps_to_unk(self):
-        vocab = build_vocab(self.split())
+        vocab = build_vocab([self.split()])
         assert vocab.word_id("never-seen") == UNK_ID
         assert vocab.word_id(PLACEHOLDER) == PLACEHOLDER_ID
 
@@ -226,7 +241,7 @@ class TestVocabulary:
     @pytest.mark.parametrize("suffix", ["", ".chars"], ids=["words", "chars"])
     def test_repeated_token_names_file_line_and_first_line(self, tmp_path, suffix):
         path = tmp_path / "vocab.txt"
-        save_vocab(build_vocab(self.split()), path)
+        save_vocab(build_vocab([self.split()]), path)
         target = Path(f"{path}{suffix}")
         lines = target.read_text(encoding="utf-8").splitlines()
         first = 1 + [line.split("\t")[0] for line in lines].index("b")
@@ -236,7 +251,7 @@ class TestVocabulary:
             load_vocab(path)
 
     def test_roundtrip_through_dump(self, tmp_path):
-        vocab = build_vocab(self.split())
+        vocab = build_vocab([self.split()])
         path = tmp_path / "vocab.tsv"
         save_vocab(vocab, path)
         loaded = load_vocab(path)

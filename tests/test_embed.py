@@ -24,7 +24,7 @@ def vocab():
             ["abc", "de", "fgh", "abc"], ["de", "@placeholder"], ["abc", "de"], "abc", 1
         ).validate(),
     ]
-    return build_vocab(DatasetSplit("train", samples))
+    return build_vocab([DatasetSplit("train", samples)])
 
 
 @pytest.fixture
