@@ -138,9 +138,9 @@ SVG_CELL = 22
 SVG_LABEL = 90
 
 
-def attention_svg(export: AttentionExport, layer: int = -1) -> str:
-    """Static grey-scale heat map of one exported hop, darker = higher."""
-    matrix = export.layers[layer]
+def attention_svg(export: AttentionExport) -> str:
+    """Static grey-scale heat map of the last exported hop, darker = higher."""
+    matrix = export.layers[-1]
     rows, cols = matrix.shape
     width = SVG_LABEL + cols * SVG_CELL
     height = (rows + 1) * SVG_CELL + 6

@@ -81,10 +81,6 @@ class Parameter:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.trainable = trainable
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Parameter({self.id!r}, shape={self.data.shape}, trainable={self.trainable})"
 
@@ -114,10 +110,6 @@ class Tensor:
                 "outlived its tape; keep the Tape or ForwardResult while using it"
             )
         return tape
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     @property
     def ndim(self) -> int:

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    LENGTH_AXES,
     attention_svg,
     bucket_by_length,
     export_attention,
@@ -174,9 +175,6 @@ def config_objects(cfg: dict) -> tuple[EmbedConfig, ReaderConfig, HyperParams]:
 
 
 def load_split(path, cfg: dict, lowercase: bool | None = None):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"data file not found: {path}")
     if cfg["data.format"] == "cbt":
         return load_cbt(path, cfg["data.lowercase"] if lowercase is None else lowercase)
     if cfg["data.format"] == "jsonl":
@@ -188,7 +186,7 @@ def build_model(cfg: dict, vocab, embed_cfg: EmbedConfig, reader_cfg: ReaderConf
     rng = np.random.default_rng([cfg["seed"], 5])
     word_table = None
     if cfg["embed.vectors"]:
-        if not Path(cfg["embed.vectors"]).exists():
+        if not Path(cfg["embed.vectors"]).is_file():
             raise ConfigError(f"config key embed.vectors: file not found: {cfg['embed.vectors']}")
         word_table, coverage = load_pretrained_vectors(
             cfg["embed.vectors"], vocab, embed_cfg.word_dim, rng
@@ -197,22 +195,15 @@ def build_model(cfg: dict, vocab, embed_cfg: EmbedConfig, reader_cfg: ReaderConf
     return Model(vocab, embed_cfg, reader_cfg, rng, word_table)
 
 
-def _require(args, flag: str):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if not value:
-        raise ConfigError(f"{flag} is required for this command")
-    return value
-
-
 def _require_file(args, flag: str) -> Path:
-    path = Path(_require(args, flag))
-    if not path.exists():
+    path = Path(getattr(args, flag.lstrip("-")))
+    if not path.is_file():
         raise ConfigError(f"{flag}: file not found: {path}")
     return path
 
 
 def _out_dir(args) -> Path:
-    out = Path(_require(args, "--out"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -416,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the config seed")
         if restore:  # the flags _restore reads
             for flag in ("--checkpoint", "--vocab", "--data"):
-                p.add_argument(flag)
+                p.add_argument(flag, required=True)
 
     p = sub.add_parser("gen-synth", help="write a deterministic synthetic corpus")
     p.add_argument("--out", required=True)
@@ -451,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     asub = analyze.add_subparsers(dest="analysis", required=True)
 
     p = asub.add_parser("length", help="accuracy bucketed by sequence length")
-    p.add_argument("--predictions")
+    p.add_argument("--predictions", required=True)
     p.add_argument("--centers", required=True, help="comma-separated bucket centers")
-    p.add_argument("--axis", choices=("document", "query"), default="document")
+    p.add_argument("--axis", choices=LENGTH_AXES, default="document")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze_length)
 
@@ -464,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_attention)
 
     p = asub.add_parser("mcnemar", help="one-sided exact test between two prediction dumps")
-    p.add_argument("--a")
-    p.add_argument("--b")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
     p.set_defaults(func=cmd_analyze_mcnemar)
 
     p = sub.add_parser("disambiguate", help="run the adjacency rule over a split")
     common(p)
-    p.add_argument("--data")
+    p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_disambiguate)
 

@@ -93,11 +93,16 @@ class DatasetSplit:
 
 @contextlib.contextmanager
 def open_text(path, error: type[Exception] = ParseError):
-    """The file opened for reading as UTF-8 text; bytes that are not
-    UTF-8, met anywhere in the with block, raise `error` naming the file.
-    The file is read as it is iterated, never whole."""
+    """The file opened for reading as UTF-8 text. A path that cannot be
+    opened (missing, a directory) raises ConfigError naming it; bytes
+    that are not UTF-8, met anywhere in the with block, raise `error`
+    naming the file. The file is read as it is iterated, never whole."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -113,6 +118,13 @@ def _load(path, parse) -> list[ClozeSample]:
 
 
 def _build_sample(document, query, candidates, answer, where: str) -> ClozeSample:
+    """The validated sample, duplicate candidates collapsed with a
+    warning; a contract violation becomes a ParseError naming `where`."""
+    if all(isinstance(c, str) for c in candidates):
+        deduped = list(dict.fromkeys(candidates))
+        if len(deduped) != len(candidates):
+            warnings.warn(f"{where}: collapsed duplicate candidates")
+        candidates = deduped
     try:
         idx = query.index(PLACEHOLDER) if PLACEHOLDER in query else -1
         sample = ClozeSample(
@@ -195,15 +207,24 @@ def _parse_cbt_block(lines: list[str], ordinal: int, lowercase: bool) -> ClozeSa
         query = [t.lower() for t in query]
         candidates = [c.lower() for c in candidates]
         answer = answer.lower()
-    deduped = list(dict.fromkeys(candidates))
-    if len(deduped) != len(candidates):
-        warnings.warn(f"{where}: collapsed duplicate candidates")
-    return _build_sample(document, query, deduped, answer, where)
+    return _build_sample(document, query, candidates, answer, where)
 
 
 # ---------------------------------------------------------------------------
 # JSON lines
 # ---------------------------------------------------------------------------
+
+
+def json_object(raw: str, where: str) -> dict:
+    """The JSON object on one line; invalid JSON or a value that is not
+    an object raises ParseError naming `where`."""
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ParseError(f"{where}: record is not an object")
+    return record
 
 
 def samples_from_jsonl(lines: Iterable[str]) -> list[ClozeSample]:
@@ -212,12 +233,7 @@ def samples_from_jsonl(lines: Iterable[str]) -> list[ClozeSample]:
         if not raw.strip():
             continue
         where = f"line {number}"
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ParseError(f"{where}: record is not an object")
+        record = json_object(raw, where)
         for key in ("document", "query", "candidates"):
             if key not in record:
                 raise ParseError(f"{where}: missing key {key!r}")
@@ -226,13 +242,9 @@ def samples_from_jsonl(lines: Iterable[str]) -> list[ClozeSample]:
         answer = record.get("answer")
         if answer is not None and not isinstance(answer, str):
             raise ParseError(f"{where}: 'answer' must be a string or null")
-        candidates = record["candidates"]
-        if all(isinstance(c, str) for c in candidates):
-            deduped = list(dict.fromkeys(candidates))
-            if len(deduped) != len(candidates):
-                warnings.warn(f"{where}: collapsed duplicate candidates")
-            candidates = deduped
-        samples.append(_build_sample(record["document"], record["query"], candidates, answer, where))
+        samples.append(
+            _build_sample(record["document"], record["query"], record["candidates"], answer, where)
+        )
     return samples
 
 
@@ -299,19 +311,13 @@ def build_vocab(splits, min_count: int = 1) -> Vocabulary:
     """Count tokens in the training split and build both id maps.
 
     splits is an iterable of DatasetSplits; only those named "train"
-    contribute (falling back to the first split, with a warning, if none
-    is). min_count filters words; characters are always kept. Tokens
-    spelled like a reserved word (RESERVED_WORDS) are not counted, so each
-    maps to its reserved id.
+    contribute, and there must be one. min_count filters words;
+    characters are always kept. Tokens spelled like a reserved word
+    (RESERVED_WORDS) are not counted, so each maps to its reserved id.
     """
-    pool = list(splits)
-    if not pool:
-        raise ConfigError("build_vocab needs at least one split")
-    source = [s for s in pool if s.name == "train"]
+    source = [s for s in splits if s.name == "train"]
     if not source:
-        if len(pool) > 1:
-            warnings.warn("no split named 'train'; building vocabulary from the first split")
-        source = pool[:1]
+        raise ConfigError("build_vocab needs a split named 'train'")
 
     word_counts: dict[str, int] = {}
     char_counts: dict[str, int] = {}

@@ -98,7 +98,6 @@ class CharEmbedder:
     GRU and a linear projection."""
 
     def __init__(self, rng: np.random.Generator, char_vocab_size: int, cfg: EmbedConfig):
-        self.cfg = cfg
         table = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(char_vocab_size, cfg.char_dim))
         table[PAD_ID] = 0.0
         self.table = Parameter("embed.char.table", table)
@@ -153,7 +152,6 @@ class TokenEmbedder:
         word_table: Parameter | None = None,
     ):
         self.vocab = vocab
-        self.cfg = cfg
         self.word_table = word_table if word_table is not None else random_word_table(
             vocab, cfg.word_dim, rng
         )

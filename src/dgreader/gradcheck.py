@@ -27,17 +27,16 @@ FLOOR = 1e-5
 class GradCheckReport:
     max_rel_error: float
     worst_param: str
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOLERANCE
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
         return (
             f"gradcheck {status}: max rel error {self.max_rel_error:.3e} "
-            f"(tolerance {self.tolerance:.1e}, worst {self.worst_param})"
+            f"(tolerance {TOLERANCE:.1e}, worst {self.worst_param})"
         )
 
 
@@ -82,4 +81,4 @@ def check_gradients(
         if err > worst:
             worst = err
             worst_name = p.id
-    return GradCheckReport(worst, worst_name, TOLERANCE)
+    return GradCheckReport(worst, worst_name)

@@ -135,7 +135,6 @@ class Model:
         embed_cfg.validate()
         reader_cfg.validate()
         self.vocab = vocab
-        self.embed_cfg = embed_cfg
         self.reader_cfg = reader_cfg
         self.embedder = TokenEmbedder(rng, vocab, embed_cfg, word_table)
         self.reader_params = ReaderParams.create(rng, reader_cfg, embed_cfg.token_dim)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .corpus import open_text
+from .corpus import json_object, open_text
 from .errors import ContractViolation, ParseError
 
 
@@ -38,15 +38,17 @@ class PredictionDistribution:
 # Prediction dumps
 # ---------------------------------------------------------------------------
 
-PREDICTION_KEYS = (
-    "sample_id",
-    "predicted",
-    "gold",
-    "correct",
-    "candidate_probs",
-    "doc_len",
-    "qry_len",
-)
+# Each record key with the exact types its JSON value may load as (so a
+# boolean is not an integer) and how an error names them.
+PREDICTION_FIELDS = {
+    "sample_id": ((str,), "a string"),
+    "predicted": ((str,), "a string"),
+    "gold": ((str, type(None)), "a string or null"),
+    "correct": ((bool, type(None)), "true, false or null"),
+    "candidate_probs": ((dict,), "an object"),
+    "doc_len": ((int,), "an integer"),
+    "qry_len": ((int,), "an integer"),
+}
 
 
 def prediction_record(
@@ -74,17 +76,22 @@ def dump_predictions(records: list[dict], path) -> None:
 
 
 def load_predictions(path) -> list[dict]:
+    """The records of a prediction dump. A line that is not a JSON object,
+    a missing key or a value of the wrong JSON type raises ParseError
+    naming the file, the line and the key."""
     records = []
     with open_text(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} line {number}: invalid JSON: {exc}") from exc
-            missing = [k for k in PREDICTION_KEYS if k not in record]
+            where = f"{path} line {number}"
+            record = json_object(line, where)
+            missing = [k for k in PREDICTION_FIELDS if k not in record]
             if missing:
-                raise ParseError(f"{path} line {number}: missing keys {missing}")
+                raise ParseError(f"{where}: missing keys {missing}")
+            for key, (types, kind) in PREDICTION_FIELDS.items():
+                value = record[key]
+                if type(value) not in types:
+                    raise ParseError(f"{where}: key {key!r} must be {kind}, got {value!r}")
             records.append(record)
     return records

@@ -82,21 +82,14 @@ def disambiguate(sample: ClozeSample) -> RuleDecision:
             survivors.append(cand)
     survivors.sort()
 
-    if len(survivors) == 1:
-        return RuleDecision(
-            status=STATUS_SOLVED,
-            anchor=anchor,
-            direction=direction,
-            collected=collected,
-            survivors=survivors,
-            answer=survivors[0],
-        )
+    solved = len(survivors) == 1
     return RuleDecision(
-        status=STATUS_AMBIGUOUS,
+        status=STATUS_SOLVED if solved else STATUS_AMBIGUOUS,
         anchor=anchor,
         direction=direction,
         collected=collected,
         survivors=survivors,
+        answer=survivors[0] if solved else None,
     )
 
 

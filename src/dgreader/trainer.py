@@ -8,6 +8,7 @@ same log bytes and the same final parameters.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -209,8 +210,8 @@ def train(
     result = TrainResult()
     best_data: dict[str, np.ndarray] = {}
     since_best = 0
-    log_fh = open(log_path, "w", encoding="utf-8", newline="") if log_path else None
-    try:
+    log = open(log_path, "w", encoding="utf-8", newline="") if log_path else contextlib.nullcontext()
+    with log as log_fh:
         if log_fh:
             log_fh.write(LOG_HEADER + "\n")
         for epoch in range(1, hp.epochs + 1):
@@ -271,9 +272,6 @@ def train(
             if since_best >= hp.patience:
                 result.stopped_early = True
                 break
-    finally:
-        if log_fh:
-            log_fh.close()
     if best_data and not result.reached_target:
         for p in params:
             p.data[...] = best_data[p.id]

@@ -125,7 +125,7 @@ def embed_positions(
         char_ids.reshape(batch * steps, -1),
         np.asarray(char_mask, dtype=np.float64).reshape(batch * steps, -1),
     )
-    chars = tape.reshape(chars, (batch, steps, emb.cfg.char_out))
+    chars = tape.reshape(chars, (batch, steps, emb.char.proj_b.data.shape[0]))
     chars = tape.mul(chars, tape.constant(np.asarray(token_mask, dtype=np.float64)[:, :, None]))
     return tape.concat_last([words, chars])
 
@@ -162,7 +162,8 @@ def embed_tokens(emb: TokenEmbedder, tape: Tape, ids, tokens: list[str]) -> Tens
     out = embed_positions(
         emb, tape, ids[None, :], char_ids[None, :, :], char_mask[None, :, :], token_mask[None, :]
     )
-    return tape.reshape(out, (ids.shape[0], emb.cfg.token_dim))
+    token_dim = emb.word_table.data.shape[1] + emb.char.proj_b.data.shape[0]
+    return tape.reshape(out, (ids.shape[0], token_dim))
 
 
 def char_embed_token(emb: TokenEmbedder, tape: Tape, token: str) -> Tensor:
@@ -171,7 +172,7 @@ def char_embed_token(emb: TokenEmbedder, tape: Tape, token: str) -> Tensor:
         raise ContractViolation("cannot char-embed an empty token")
     ids, mask = char_id_matrix(emb.vocab, [token])
     out = emb.char.embed_ids(tape, ids, mask)
-    return tape.reshape(out, (emb.cfg.char_out,))
+    return tape.reshape(out, (emb.char.proj_b.data.shape[0],))
 
 
 def token_distribution(

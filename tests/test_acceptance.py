@@ -47,7 +47,7 @@ from dgreader.reader import (
 from dgreader.rulekit import STATUS_AMBIGUOUS, STATUS_NO_ANCHOR, STATUS_SOLVED, disambiguate
 from dgreader.trainer import HyperParams, evaluate, train
 
-from ga_reference import ga_encode, random_embeddings, suffix_mask
+from ga_reference import random_embeddings, reference_encode, suffix_mask
 from oracles import aggregate_candidates, find_occurrences, token_distribution
 
 DATA = Path(__file__).parent / "data"
@@ -133,7 +133,7 @@ def test_criterion_2_degenerate_config_matches_reference(report):
         got_d, got_q, _ = encode_full(
             tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask, qe
         )
-        exp_d, exp_q = ga_encode(doc, qry, params, hops, dmask, qmask, qe)
+        exp_d, exp_q = reference_encode(doc, qry, params, hops, dmask, qmask, qe)
         worst = max(
             worst,
             float(np.abs(got_d.data - exp_d).max()),

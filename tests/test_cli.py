@@ -259,7 +259,7 @@ class TestGradcheckCommand:
         def fake_check(loss_fn, params, grads, **kw):
             loss_fn()
             alive.append(len(live_tapes()))
-            return GradCheckReport(max_rel_error=0.0, worst_param="w", tolerance=1e-4)
+            return GradCheckReport(max_rel_error=0.0, worst_param="w")
 
         monkeypatch.setattr(cli, "check_gradients", fake_check)
         assert cli.main(["gradcheck"]) == 0
@@ -267,7 +267,7 @@ class TestGradcheckCommand:
 
     def test_failure_maps_to_exit_three(self, monkeypatch, capsys):
         def fake_check(loss_fn, params, grads, **kw):
-            return GradCheckReport(max_rel_error=1.0, worst_param="w", tolerance=1e-4)
+            return GradCheckReport(max_rel_error=1.0, worst_param="w")
         monkeypatch.setattr(cli, "check_gradients", fake_check)
         assert cli.main(["gradcheck"]) == 3
         assert "gradient check failed" in capsys.readouterr().err
@@ -425,6 +425,88 @@ class TestExitCodes:
     def test_unknown_set_key_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--set", "nope=1"]) == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--vocab", "v", "--data", "d"], "--checkpoint"),
+        (["predict", "--checkpoint", "c", "--data", "d", "--out", "o"], "--vocab"),
+        (["analyze", "attention", "--checkpoint", "c", "--vocab", "v", "--out", "o"], "--data"),
+        (["analyze", "length", "--centers", "5"], "--predictions"),
+        (["analyze", "mcnemar", "--a", "p"], "--b"),
+        (["disambiguate"], "--data"),
+    ], ids=["eval", "predict", "attention", "length", "mcnemar", "disambiguate"])
+    def test_missing_required_flag_is_usage_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        assert f"required: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--checkpoint", "--vocab", "--data"])
+    def test_directory_as_restore_input_is_named(self, tmp_path, trained, corpus, capsys, flag):
+        files = {"--config": trained / "config.txt", "--checkpoint": trained / "model.ckpt",
+                 "--vocab": trained / "vocab.txt", "--data": corpus, flag: tmp_path}
+        out = tmp_path / "preds"
+        argv = ["predict", "--out", str(out)]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert cli.main(argv) == 1
+        assert f"{flag}: file not found: {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_chars_file_is_named(self, tmp_path, trained, corpus, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes((trained / "vocab.txt").read_bytes())
+        assert cli.main([
+            "eval", "--config", str(trained / "config.txt"),
+            "--checkpoint", str(trained / "model.ckpt"),
+            "--vocab", str(vocab), "--data", str(corpus),
+        ]) == 1
+        assert f"error: {vocab}.chars: cannot open" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["data.train", "data.dev", "embed.vectors"])
+    def test_directory_as_train_input_is_named_and_train_writes_nothing(
+        self, tmp_path, corpus, capsys, key
+    ):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--out", str(out),
+            "--set", f"data.train={corpus}", "--set", f"data.dev={corpus}",
+            *TINY_MODEL_SETS, "--set", f"{key}={folder}",
+        ]) == 1
+        assert str(folder) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "length", "--centers", "5", "--predictions"],
+        ["analyze", "mcnemar", "--b", "unused", "--a"],
+    ], ids=["length", "mcnemar"])
+    def test_directory_as_predictions_is_named(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, str(tmp_path)]) == 1
+        assert f"file not found: {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("mcnemar", None, 5),
+        ("length", "doc_len", "x"),
+        ("mcnemar", "sample_id", [1]),
+        ("mcnemar", "correct", "false"),
+    ], ids=["not-an-object", "doc_len-text", "sample_id-list", "correct-text"])
+    def test_mistyped_prediction_dump_is_named(
+        self, tmp_path, predictions, capsys, command, key, value
+    ):
+        record = json.loads(predictions.read_text().splitlines()[0])
+        if key is None:
+            record = value
+        else:
+            record[key] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        argv = {
+            "length": ["--predictions", str(bad), "--centers", "8,12"],
+            "mcnemar": ["--a", str(bad), "--b", str(bad)],
+        }[command]
+        assert cli.main(["analyze", command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} line 1: " in err
+        assert ("not an object" if key is None else repr(key)) in err
 
 
 # Each config dataclass with the section its fields are keyed under.

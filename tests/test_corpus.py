@@ -238,6 +238,11 @@ class TestVocabulary:
         vocab = build_vocab([self.split(), dev])
         assert "zz" not in vocab.word_to_id
 
+    def test_no_train_split_rejected(self):
+        dev = DatasetSplit("dev", self.split().samples)
+        with pytest.raises(ConfigError, match="split named 'train'"):
+            build_vocab([dev])
+
     @pytest.mark.parametrize("suffix", ["", ".chars"], ids=["words", "chars"])
     def test_repeated_token_names_file_line_and_first_line(self, tmp_path, suffix):
         path = tmp_path / "vocab.txt"

@@ -6,6 +6,7 @@ equality)."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestPredictionRecords:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match="line 1"):
             load_predictions(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sample_id", 0), ("predicted", None), ("gold", 5), ("correct", "true"),
+        ("correct", 1), ("candidate_probs", [0.5]), ("doc_len", True), ("qry_len", 2.0),
+    ])
+    def test_mistyped_value_rejected_with_line_and_key(self, tmp_path, key, value):
+        path = tmp_path / "bad.jsonl"
+        records = self.make_records()
+        records[1][key] = value
+        dump_predictions(records, path)
+        with pytest.raises(ParseError, match=re.escape(f"{path} line 2: key {key!r} must be")):
+            load_predictions(path)
+
+    def test_unlabeled_record_loads(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        records = self.make_records()
+        records[0].update(gold=None, correct=None)
+        dump_predictions(records, path)
+        assert load_predictions(path) == records
 
     def test_bad_json_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

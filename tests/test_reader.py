@@ -18,7 +18,7 @@ from dgreader.reader import (
     encode_full,
 )
 
-from ga_reference import ga_encode, random_embeddings, suffix_mask
+from ga_reference import random_embeddings, reference_encode, suffix_mask
 from oracles import qe_comm_features, sum_all
 
 
@@ -310,9 +310,35 @@ class TestEncodeFull:
         got_d, got_q, _ = encode_full(
             tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask, qe
         )
-        exp_d, exp_q = ga_encode(doc, qry, params, 2, dmask, qmask, qe)
+        exp_d, exp_q = reference_encode(doc, qry, params, 2, dmask, qmask, qe)
         np.testing.assert_allclose(got_d.data, exp_d, atol=1e-12)
         np.testing.assert_allclose(got_q.data, exp_q, atol=1e-12)
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_every_preset_matches_independent_reference(self, preset):
+        # criterion 2's tolerance, over hops 1-3 with and without qe, on
+        # padded batches; an input width equal to the reader width lets
+        # a raw query routed where a reading belongs show as a difference
+        rng = np.random.default_rng(27)
+        for hops in (1, 2, 3):
+            for use_qe in (False, True):
+                for dim in (6, 4):
+                    cfg = ReaderConfig.from_preset(preset, hops=hops, hidden=6, qe_comm=use_qe)
+                    params = ReaderParams.create(rng, cfg, dim)
+                    doc, qry = random_embeddings(rng, 3, 7, 5, dim)
+                    dmask = suffix_mask(rng, 3, 7)
+                    qmask = suffix_mask(rng, 3, 5)
+                    qe = (rng.random((3, 7)) > 0.5).astype(float) if use_qe else None
+                    tape = Tape()
+                    got_d, got_q, _ = encode_full(
+                        tape.constant(doc), tape.constant(qry), cfg, params, dmask, qmask, qe
+                    )
+                    exp_d, exp_q = reference_encode(
+                        doc, qry, params, hops, dmask, qmask, qe, **ABLATION_PRESETS[preset]
+                    )
+                    where = f"{preset}, hops {hops}, qe {use_qe}, dim {dim}"
+                    np.testing.assert_allclose(got_d.data, exp_d, rtol=0, atol=1e-12, err_msg=where)
+                    np.testing.assert_allclose(got_q.data, exp_q, rtol=0, atol=1e-12, err_msg=where)
 
     def test_padding_does_not_change_real_token_encodings(self):
         rng = np.random.default_rng(25)

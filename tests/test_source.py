@@ -5,9 +5,10 @@ referenced somewhere in src/dgreader outside its own body. References
 are matched by name (a plain name or an attribute spelled the same,
 other than one read off `np`), not by resolved target, so the guard
 finds entry points that nothing in the package reaches, not every
-unused overload. Likewise every name a class declares in `__slots__`
-must be read as an attribute somewhere in src/dgreader: state that is
-written but never read is dead weight on every instance.
+unused overload. Likewise every name a class declares in `__slots__`,
+and every attribute its methods assign on `self`, must be read as an
+attribute somewhere in src/dgreader: state that is written but never
+read is dead weight on every instance.
 """
 
 import ast
@@ -77,7 +78,24 @@ def slots(tree: ast.Module):
                         yield f"{node.name}.{elt.value}", elt.value
 
 
-def unread_slots() -> list[str]:
+def self_attributes(tree: ast.Module):
+    """(qualified name, attribute name) for each attribute that a method
+    of a module-level class assigns on `self`."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    yield f"{node.name}.{sub.attr}", sub.attr
+
+
+def unread(declared) -> list[str]:
+    """The qualified names that declared(tree) yields, over every module,
+    whose attribute is read nowhere in src/dgreader."""
     parsed = trees()
     read = {
         sub.attr
@@ -85,7 +103,9 @@ def unread_slots() -> list[str]:
         for sub in ast.walk(tree)
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
     }
-    return sorted(qualified for tree in parsed for qualified, name in slots(tree) if name not in read)
+    return sorted(
+        {qualified for tree in parsed for qualified, name in declared(tree) if name not in read}
+    )
 
 
 def test_every_function_and_public_method_has_a_caller_in_src():
@@ -98,5 +118,10 @@ def test_allowlist_names_only_unreferenced_definitions():
 
 
 def test_every_slot_is_read_in_src():
-    unread = unread_slots()
-    assert not unread, f"declared in __slots__ but never read in src/dgreader: {unread}"
+    dead = unread(slots)
+    assert not dead, f"declared in __slots__ but never read in src/dgreader: {dead}"
+
+
+def test_every_attribute_set_on_self_is_read_in_src():
+    dead = unread(self_attributes)
+    assert not dead, f"assigned on self but never read in src/dgreader: {dead}"

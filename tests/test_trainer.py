@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from dgreader import trainer
 from dgreader.autodiff import Parameter, load_checkpoint, restore_parameters
 from dgreader.corpus import DatasetSplit, SynthConfig, build_vocab, generate_synthetic
 from dgreader.embed import EmbedConfig
@@ -267,6 +268,32 @@ class TestTrain:
         assert result.stopped_early
         assert result.epochs_run < 40
         assert result.best_epoch <= result.epochs_run - 2
+
+    def test_grad_clip_bounds_every_update(self, tmp_path, monkeypatch):
+        # every step's gradients reach adam_step with a global norm at most
+        # the clip (up to rounding in the rescale), and the clip changes
+        # the trained parameters
+        norms = {}
+        step = trainer.adam_step
+
+        def recording_step(params, grads, state, hp):
+            norms.setdefault(hp.grad_clip, []).append(
+                math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            )
+            step(params, grads, state, hp)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_step)
+        clip = 1e-3
+        _, clipped, *_ = self.run(tmp_path, tag="clip", epochs=3, patience=3, grad_clip=clip)
+        _, plain, *_ = self.run(tmp_path, tag="plain", epochs=3, patience=3)
+        assert len(norms[clip]) == len(norms[None]) == 3 * 2  # 16 samples in batches of 8
+        # the first steps see the same gradients, so this one was clipped
+        assert norms[None][0] > clip
+        assert max(norms[clip]) <= clip * (1.0 + 1e-12)
+        assert any(
+            not np.array_equal(a.data, b.data)
+            for a, b in zip(clipped.parameters(), plain.parameters())
+        )
 
     def test_non_finite_loss_aborts_with_diagnostics(self, tmp_path):
         samples, vocab = make_world()
